@@ -4,12 +4,16 @@
 // a short "paper reported vs measured" comparison for EXPERIMENTS.md.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/rafiki.h"
+#include "serve/service.h"
+#include "serve/shard.h"
 #include "util/table.h"
 
 namespace rafiki::benchutil {
@@ -30,6 +34,49 @@ inline std::string json_string_array(const std::vector<std::string>& items) {
   }
   return out + "]";
 }
+
+/// Wall-clock seconds elapsed since t0.
+inline double seconds_since(std::chrono::steady_clock::time_point t0) {
+  // det:ok(wall-clock): measuring throughput/latency is this benchmark's purpose
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// One service or an N-shard router behind the same TuningBackend surface.
+inline std::unique_ptr<serve::TuningBackend> make_backend(
+    std::size_t shards, const serve::ServiceOptions& options) {
+  if (shards > 1) {
+    serve::ShardOptions shard_options;
+    shard_options.shards = shards;
+    shard_options.service = options;
+    return std::make_unique<serve::ShardedTuningService>(shard_options);
+  }
+  return std::make_unique<serve::TuningService>(options);
+}
+
+/// A bench's verdict, gate by gate: every check() names its gate with the
+/// measured value and the bound, so a failing run says which gates failed
+/// and by how much instead of a bare FAIL.
+class Gates {
+ public:
+  void check(bool ok, const std::string& gate, const std::string& measured,
+             const std::string& bound) {
+    if (!ok) failed_.push_back(gate + ": measured " + measured + ", bound " + bound);
+  }
+  /// Prints "<bench>: PASS" or "<bench>: FAIL", the skipped gates, and one
+  /// line per failed gate; returns the process exit status.
+  int verdict(const std::string& bench, const std::vector<std::string>& skipped) const {
+    std::printf("\n%s: %s", bench.c_str(), failed_.empty() ? "PASS" : "FAIL");
+    for (std::size_t i = 0; i < skipped.size(); ++i) {
+      std::printf("%s%s", i == 0 ? " (gates skipped: " : ", ", skipped[i].c_str());
+    }
+    std::printf("%s\n", skipped.empty() ? "" : ")");
+    for (const auto& failure : failed_) std::printf("  failed gate %s\n", failure.c_str());
+    return failed_.empty() ? 0 : 1;
+  }
+
+ private:
+  std::vector<std::string> failed_;
+};
 
 /// The paper's data-collection protocol: 11 read ratios x 20 configurations,
 /// 5-minute (simulated) benchmark per point, ~9% of samples lost to harness

@@ -17,16 +17,12 @@
 //
 //   C. Connection scaling — the million-user question in miniature: a fixed
 //      request volume is spread over {64, 256, 1024} pipelined connections
-//      (>= 64 tenants round-robin) and replayed against BOTH io backends.
-//      Per point: QPS, client p99, and the wire flush counters — flushes,
-//      flush syscalls, frames per flush, and flush syscalls per frame (the
-//      hardware-independent cost metric). Gates: zero transport failures /
-//      lost frames / decode errors at every point including 1024
-//      connections on both backends (always on); edge-triggered epoll
-//      spends measurably fewer flush syscalls per frame than the poll()
-//      fallback at the largest sweep point (counter-based, always on when
-//      both backends run); QPS at 1024 connections holds >= 0.9x the
-//      256-connection figure per backend (perf gate: skipped under
+//      (>= 64 tenants round-robin). Per point: QPS, client p99, and the wire
+//      flush counters — flushes, flush syscalls, frames per flush, and flush
+//      syscalls per frame (the hardware-independent cost metric). Gates:
+//      zero transport failures / lost frames / decode errors at every point
+//      including 1024 connections (always on); QPS at 1024 connections
+//      holds >= 0.9x the 256-connection figure (perf gate: skipped under
 //      sanitizers / < 8 hardware threads).
 //
 //   B. Noisy-tenant isolation — tenant 1 ("noisy") floods deep pipelines
@@ -44,9 +40,8 @@
 //
 // Results go to stdout (ASCII tables) and BENCH_fleet.json. `--smoke` keeps
 // everything tiny for CI; `--out <path>` redirects the JSON; `--tenants N` /
-// `--shards N` resize the phase-A fleet; `--io-backend poll|epoll` pins the
-// event loop for every phase (phase C then sweeps only that backend and the
-// cross-backend syscall gate is skipped).
+// `--shards N` resize the phase-A fleet. The verdict names every gate that
+// failed with its measured value and bound, and lists the skipped gates.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -89,9 +84,8 @@ struct ReplayResult {
   std::uint64_t probe_not_ready = 0;
 };
 
-/// One (backend, connection count) point of the phase-C sweep.
+/// One connection-count point of the phase-C sweep.
 struct ScalePoint {
-  net::IoBackend backend = net::IoBackend::kPoll;
   std::size_t connections = 0;
   std::size_t tenants = 0;
   double qps = 0.0;
@@ -128,11 +122,6 @@ struct IsolationResult {
   VictimRun contended;
   double p99_ratio = 0.0;
 };
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  // det:ok(wall-clock): measuring throughput/latency is this benchmark's purpose
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
 
 /// Exact sample quantile (sorted copy) — the isolation gate compares p99s at
 /// microsecond scale, where a bucketed histogram would quantize the ratio.
@@ -207,8 +196,8 @@ void replay_trace(std::uint16_t port, serve::TenantId tenant, std::size_t calls,
   }
 }
 
-ReplayResult fleet_replay(const core::Rafiki& rafiki, net::IoBackend backend,
-                          std::size_t tenants, std::size_t shards,
+ReplayResult fleet_replay(const core::Rafiki& rafiki, std::size_t tenants,
+                          std::size_t shards,
                           std::size_t clients_per_tenant,
                           std::size_t calls_per_trace, std::size_t pipeline,
                           std::size_t window_every) {
@@ -223,7 +212,6 @@ ReplayResult fleet_replay(const core::Rafiki& rafiki, net::IoBackend backend,
   fleet.start();
 
   net::ServerOptions server_options;
-  server_options.io_backend = backend;
   server_options.io_threads = 2;
   server_options.max_pipeline = pipeline + 1;  // the bench never self-throttles
   net::Server server(fleet, server_options);
@@ -249,7 +237,7 @@ ReplayResult fleet_replay(const core::Rafiki& rafiki, net::IoBackend backend,
     });
   }
   for (auto& thread : fleet_threads) thread.join();
-  const double elapsed = seconds_since(t0);
+  const double elapsed = benchutil::seconds_since(t0);
 
   // Unknown-tenant probe: an id past the fleet's range must get a typed
   // kNotReady for every call — answered on the wire, never dropped.
@@ -301,14 +289,14 @@ ReplayResult fleet_replay(const core::Rafiki& rafiki, net::IoBackend backend,
 }
 
 /// One phase-C point: `connections` pipelined clients (tenant = index mod
-/// `tenants`) replay a fixed total request volume against one io backend.
+/// `tenants`) replay a fixed total request volume.
 /// A small pool of driver threads owns the connections; each round a driver
 /// bursts `pipeline` Predicts down every one of its connections before
 /// collecting any responses, so the server sees hundreds of connections with
 /// frames in flight at once — the regime write coalescing is built for.
 ScalePoint connection_scaling(const core::Rafiki& rafiki, std::size_t tenants,
-                              std::size_t shards, net::IoBackend backend,
-                              std::size_t connections, std::size_t calls_per_conn,
+                              std::size_t shards, std::size_t connections,
+                              std::size_t calls_per_conn,
                               std::size_t pipeline) {
   tenant::FleetOptions fleet_options;
   fleet_options.tenants = tenants;
@@ -320,14 +308,12 @@ ScalePoint connection_scaling(const core::Rafiki& rafiki, std::size_t tenants,
   fleet.start();
 
   net::ServerOptions server_options;
-  server_options.io_backend = backend;
   server_options.io_threads = 2;
   server_options.backlog = static_cast<int>(connections);
   server_options.max_connections = connections + 8;
   server_options.max_pipeline = pipeline + 1;
   net::Server server(fleet, server_options);
   ScalePoint point;
-  point.backend = backend;
   point.connections = connections;
   point.tenants = tenants;
   if (!server.start()) {
@@ -401,14 +387,14 @@ ScalePoint connection_scaling(const core::Rafiki& rafiki, std::size_t tenants,
         }
         ok[d] += round_ok;
         if (round_ok > 0) {
-          latencies[d].push_back(1e6 * seconds_since(r0) /
+          latencies[d].push_back(1e6 * benchutil::seconds_since(r0) /
                                  static_cast<double>(round_ok));
         }
       }
     });
   }
   for (auto& thread : pool) thread.join();
-  const double elapsed = seconds_since(t0);
+  const double elapsed = benchutil::seconds_since(t0);
   server.stop();
 
   std::vector<double> merged;
@@ -440,8 +426,8 @@ ScalePoint connection_scaling(const core::Rafiki& rafiki, std::size_t tenants,
 /// below one worker's capacity and the victim's tail is genuinely shielded).
 /// Topology (shards, workers, io threads, quotas) is identical with and
 /// without noise so the two p99s are comparable.
-VictimRun victim_run(const core::Rafiki& rafiki, net::IoBackend backend,
-                     std::size_t shards, std::size_t victim_calls,
+VictimRun victim_run(const core::Rafiki& rafiki, std::size_t shards,
+                     std::size_t victim_calls,
                      bool with_noisy, std::size_t noisy_pipeline,
                      std::size_t noisy_cap) {
   tenant::FleetOptions fleet_options;
@@ -463,7 +449,6 @@ VictimRun victim_run(const core::Rafiki& rafiki, net::IoBackend backend,
   fleet.start();
 
   net::ServerOptions server_options;
-  server_options.io_backend = backend;
   // One IO thread per connection (victim + 2 noisy): the cap under test is
   // the fleet's admission quota, not transport-thread contention.
   server_options.io_threads = 4;
@@ -548,7 +533,7 @@ VictimRun victim_run(const core::Rafiki& rafiki, net::IoBackend backend,
         const auto c0 = std::chrono::steady_clock::now();
         const auto result =
             victim.predict(0.3 + 0.01 * static_cast<double>(i % 40));
-        latency.push_back(1e6 * seconds_since(c0));
+        latency.push_back(1e6 * benchutil::seconds_since(c0));
         if (result.ok()) {
           ++run.ok;
         } else if (result.net == net::NetStatus::kOk &&
@@ -558,7 +543,7 @@ VictimRun victim_run(const core::Rafiki& rafiki, net::IoBackend backend,
           ++run.failed;
         }
       }
-      run.qps = static_cast<double>(run.ok) / seconds_since(t0);
+      run.qps = static_cast<double>(run.ok) / benchutil::seconds_since(t0);
     }
   }
   stop.store(true, std::memory_order_relaxed);
@@ -643,7 +628,7 @@ void write_json(const std::string& path, const ReplayResult& replay,
   for (std::size_t i = 0; i < scaling.size(); ++i) {
     const auto& sp = scaling[i];
     std::fprintf(out,
-                 "    {\"io_backend\": \"%s\", \"connections\": %zu, "
+                 "    {\"connections\": %zu, "
                  "\"tenants\": %zu, \"qps\": %.1f, \"client_p99_us\": %.1f, "
                  "\"ok\": %llu, \"transport_failures\": %llu, "
                  "\"decode_errors\": %llu, \"frames_in\": %llu, "
@@ -651,7 +636,7 @@ void write_json(const std::string& path, const ReplayResult& replay,
                  "\"flush_syscalls\": %llu, \"flushed_frames\": %llu, "
                  "\"flush_eagain\": %llu, \"frames_per_flush\": %.2f, "
                  "\"flush_syscalls_per_frame\": %.4f}%s\n",
-                 net::io_backend_name(sp.backend), sp.connections, sp.tenants,
+                 sp.connections, sp.tenants,
                  sp.qps, sp.client_p99_us,
                  static_cast<unsigned long long>(sp.ok),
                  static_cast<unsigned long long>(sp.transport_failures),
@@ -677,8 +662,6 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_fleet.json";
   std::size_t tenants = 8;
   std::size_t shards = 2;
-  bool backend_pinned = false;
-  net::IoBackend pinned_backend = net::default_io_backend();
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
@@ -690,21 +673,8 @@ int main(int argc, char** argv) {
       shards = static_cast<std::size_t>(std::atoi(argv[++i]));
       if (shards == 0) shards = 1;
     }
-    if (std::strcmp(argv[i], "--io-backend") == 0 && i + 1 < argc) {
-      if (!net::parse_io_backend(argv[++i], pinned_backend) ||
-          !net::io_backend_available(pinned_backend)) {
-        std::fprintf(stderr,
-                     "fleet_load: unknown or unavailable io backend '%s'\n",
-                     argv[i]);
-        return 1;
-      }
-      backend_pinned = true;
-    }
   }
   if (smoke && tenants > 4) tenants = 4;
-  const net::IoBackend backend = pinned_backend;
-  benchutil::note(std::string("io backend: ") + net::io_backend_name(backend) +
-                  (backend_pinned ? " (pinned)" : " (platform default)"));
 
   core::RafikiOptions options;
   options.workload_grid = smoke ? std::vector<double>{0.2, 0.8}
@@ -722,7 +692,7 @@ int main(int argc, char** argv) {
   // Phase A: regime-switching fleet replay through the wire.
   const std::size_t clients_per_tenant = smoke ? 2 : 3;
   const std::size_t calls_per_trace = smoke ? 48 : 240;
-  const auto replay = fleet_replay(rafiki, backend, tenants, shards,
+  const auto replay = fleet_replay(rafiki, tenants, shards,
                                    clients_per_tenant, calls_per_trace,
                                    /*pipeline=*/8, /*window_every=*/16);
   Table replay_table({"metric", "value"});
@@ -754,10 +724,10 @@ int main(int argc, char** argv) {
   // Phase B: noisy-tenant isolation behind the per-tenant in-flight cap.
   const std::size_t victim_calls = smoke ? 300 : 1000;
   IsolationResult isolation;
-  isolation.solo = victim_run(rafiki, backend, shards, victim_calls,
+  isolation.solo = victim_run(rafiki, shards, victim_calls,
                               /*with_noisy=*/false, /*noisy_pipeline=*/32,
                               /*noisy_cap=*/4);
-  isolation.contended = victim_run(rafiki, backend, shards, victim_calls,
+  isolation.contended = victim_run(rafiki, shards, victim_calls,
                                    /*with_noisy=*/true, /*noisy_pipeline=*/32,
                                    /*noisy_cap=*/4);
   isolation.p99_ratio = isolation.solo.p99_us > 0.0
@@ -793,7 +763,7 @@ int main(int argc, char** argv) {
   benchutil::compare("contended victim p99 vs solo", "<= 2x",
                      Table::num(isolation.p99_ratio, 2) + "x");
 
-  // Phase C: connection scaling across io backends. The full run spreads the
+  // Phase C: connection scaling. The full run spreads the
   // fleet across >= 64 tenants and sweeps {64, 256, 1024} connections; smoke
   // keeps the same shape at toy sizes.
   const std::size_t scale_tenants =
@@ -803,26 +773,17 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{64, 256, 1024};
   const std::size_t scale_calls = smoke ? 8 : 24;
   const std::size_t scale_pipeline = smoke ? 4 : 8;
-  const std::vector<net::IoBackend> backends =
-      backend_pinned ? std::vector<net::IoBackend>{backend}
-                     : net::available_io_backends();
   std::vector<ScalePoint> scaling;
-  for (const auto sweep_backend : backends) {
-    for (const auto connections : connection_sweep) {
-      benchutil::note(std::string("connection scaling: ") +
-                      net::io_backend_name(sweep_backend) + " x " +
-                      std::to_string(connections) + " connections...");
-      scaling.push_back(connection_scaling(rafiki, scale_tenants, shards,
-                                           sweep_backend, connections,
-                                           scale_calls, scale_pipeline));
-    }
+  for (const auto connections : connection_sweep) {
+    benchutil::note("connection scaling: " + std::to_string(connections) +
+                    " connections...");
+    scaling.push_back(connection_scaling(rafiki, scale_tenants, shards, connections,
+                                         scale_calls, scale_pipeline));
   }
-  Table scale_table({"backend", "connections", "QPS", "client p99 us",
-                     "frames/flush", "syscalls/frame", "EAGAIN", "failed",
-                     "decode errors"});
+  Table scale_table({"connections", "QPS", "client p99 us", "frames/flush",
+                     "syscalls/frame", "EAGAIN", "failed", "decode errors"});
   for (const auto& sp : scaling) {
-    scale_table.add_row({net::io_backend_name(sp.backend),
-                         std::to_string(sp.connections), Table::ops(sp.qps),
+    scale_table.add_row({std::to_string(sp.connections), Table::ops(sp.qps),
                          Table::num(sp.client_p99_us, 1),
                          Table::num(sp.frames_per_flush, 2),
                          Table::num(sp.syscalls_per_frame, 4),
@@ -854,99 +815,96 @@ int main(int argc, char** argv) {
   const bool ratio_gate = kPerfGate && std::thread::hardware_concurrency() >= 8;
 
   // The 1024-vs-256 QPS ratio needs real parallelism for the same reason the
-  // isolation ratio does; the syscall-per-frame comparison is counter-based
-  // and hardware-independent, but needs both backends in the sweep.
+  // isolation ratio does.
   const bool scaling_qps_gate = kPerfGate &&
                                 std::thread::hardware_concurrency() >= 8 &&
                                 !smoke;
-  // Smoke volumes are too small for the batch-shape difference to clear the
-  // margin reliably (a handful of rounds, pipeline 4); the full run is the
-  // gate of record.
-  const bool scaling_syscall_gate = backends.size() >= 2 && !smoke;
 
   std::vector<std::string> gates_skipped;
   if (!kPerfGate) gates_skipped.push_back("perf");
   if (!ratio_gate) gates_skipped.push_back("isolation_p99_ratio");
   if (!scaling_qps_gate) gates_skipped.push_back("connection_scaling_qps_ratio");
-  if (!scaling_syscall_gate) {
-    gates_skipped.push_back("connection_scaling_backend_syscalls");
-  }
   write_json(out_path, replay, isolation, scaling, smoke, gates_skipped);
 
+  const auto count = [](std::uint64_t n) { return std::to_string(n); };
+  benchutil::Gates gates;
   // Phase A structural gates (always on, sanitizers included).
-  bool pass = replay.failed == 0 && replay.decode_errors == 0;
-  pass = pass && replay.frames_in == replay.frames_out;
-  pass = pass && replay.fleet.quota_rejected == 0 &&
-         replay.fleet.inflight_rejected == 0;
-  pass = pass && replay.stale_windows >= 1;
-  pass = pass && replay.tenants_republished == replay.tenants;
-  pass = pass && replay.probe_calls > 0 &&
-         replay.probe_not_ready == replay.probe_calls;
-  pass = pass && replay.fleet.unknown_tenant >= replay.probe_calls;
+  gates.check(replay.failed == 0, "A failed calls", count(replay.failed), "== 0");
+  gates.check(replay.decode_errors == 0, "A decode errors", count(replay.decode_errors),
+              "== 0");
+  gates.check(replay.frames_in == replay.frames_out, "A frames out",
+              count(replay.frames_out), "== " + count(replay.frames_in) + " frames in");
+  gates.check(replay.fleet.quota_rejected + replay.fleet.inflight_rejected == 0,
+              "A admission rejects (no quotas configured)",
+              count(replay.fleet.quota_rejected + replay.fleet.inflight_rejected), "== 0");
+  gates.check(replay.stale_windows >= 1, "A stale-served windows",
+              count(replay.stale_windows), ">= 1");
+  gates.check(replay.tenants_republished == replay.tenants, "A tenants republished",
+              count(replay.tenants_republished), "== " + count(replay.tenants));
+  gates.check(replay.probe_calls > 0 && replay.probe_not_ready == replay.probe_calls,
+              "A unknown-tenant probe answered NotReady", count(replay.probe_not_ready),
+              "== " + count(replay.probe_calls) + " calls (> 0)");
+  gates.check(replay.fleet.unknown_tenant >= replay.probe_calls,
+              "A unknown-tenant counter", count(replay.fleet.unknown_tenant),
+              ">= " + count(replay.probe_calls));
   // Phase B structural gates: the quota speaks kOverloaded to the noisy
   // tenant only, nothing is lost, both quota mechanisms fire, and the
   // fairness counters attribute every reject exactly.
   for (const VictimRun* run : {&isolation.solo, &isolation.contended}) {
-    pass = pass && run->failed == 0 && run->overloaded == 0;
-    pass = pass && run->noisy_lost == 0 && run->decode_errors == 0;
+    const std::string label = run == &isolation.solo ? "B solo " : "B contended ";
+    gates.check(run->failed + run->overloaded == 0, label + "victim failed or rejected",
+                count(run->failed + run->overloaded), "== 0");
+    gates.check(run->noisy_lost == 0, label + "noisy frames lost", count(run->noisy_lost),
+                "== 0");
+    gates.check(run->decode_errors == 0, label + "decode errors",
+                count(run->decode_errors), "== 0");
   }
-  pass = pass && isolation.solo.noisy_overloaded == 0;
-  pass = pass && isolation.solo.fleet.quota_rejected == 0 &&
-         isolation.solo.fleet.inflight_rejected == 0;
-  pass = pass && isolation.contended.noisy_overloaded >= 1;
-  pass = pass && isolation.contended.fleet.inflight_rejected >= 1;
-  pass = pass && isolation.contended.fleet.quota_rejected >= 1;
-  pass = pass && isolation.contended.fleet.inflight_rejected +
-                         isolation.contended.fleet.quota_rejected ==
-                     isolation.contended.noisy_overloaded;
-  if (ratio_gate) pass = pass && isolation.p99_ratio <= 2.0;
-  // Phase C structural gates: every point — including 1024 connections on
-  // both backends — moved its full request volume with zero transport
-  // failures, zero lost frames, zero decode errors, balanced accounting.
+  const auto& solo = isolation.solo;
+  const auto& contended = isolation.contended;
+  gates.check(solo.noisy_overloaded == 0, "B solo noisy Overloaded",
+              count(solo.noisy_overloaded), "== 0");
+  gates.check(solo.fleet.quota_rejected + solo.fleet.inflight_rejected == 0,
+              "B solo quota rejects",
+              count(solo.fleet.quota_rejected + solo.fleet.inflight_rejected), "== 0");
+  gates.check(contended.noisy_overloaded >= 1, "B contended noisy Overloaded",
+              count(contended.noisy_overloaded), ">= 1");
+  gates.check(contended.fleet.inflight_rejected >= 1, "B contended in-flight cap rejects",
+              count(contended.fleet.inflight_rejected), ">= 1");
+  gates.check(contended.fleet.quota_rejected >= 1, "B contended token bucket rejects",
+              count(contended.fleet.quota_rejected), ">= 1");
+  gates.check(contended.fleet.inflight_rejected + contended.fleet.quota_rejected ==
+                  contended.noisy_overloaded,
+              "B contended rejects attributed",
+              count(contended.fleet.inflight_rejected + contended.fleet.quota_rejected),
+              "== " + count(contended.noisy_overloaded) + " noisy Overloaded");
+  if (ratio_gate) {
+    gates.check(isolation.p99_ratio <= 2.0, "B contended victim p99 / solo",
+                Table::num(isolation.p99_ratio, 2) + "x", "<= 2x");
+  }
+  // Phase C structural gates: every point — including 1024 connections —
+  // moved its full request volume with zero transport failures, zero lost
+  // frames, zero decode errors, balanced accounting.
   for (const auto& sp : scaling) {
     const std::uint64_t expected =
         static_cast<std::uint64_t>(sp.connections) * scale_calls;
-    pass = pass && sp.transport_failures == 0 && sp.decode_errors == 0;
-    pass = pass && sp.ok == expected && sp.frames_in == sp.frames_out;
-    pass = pass && sp.frames_in >= expected;
+    const std::string point = "C[" + std::to_string(sp.connections) + " connections] ";
+    gates.check(sp.transport_failures == 0, point + "transport failures",
+                count(sp.transport_failures), "== 0");
+    gates.check(sp.decode_errors == 0, point + "decode errors", count(sp.decode_errors),
+                "== 0");
+    gates.check(sp.ok == expected, point + "answered Ok", count(sp.ok),
+                "== " + count(expected));
+    gates.check(sp.frames_in >= expected && sp.frames_in == sp.frames_out,
+                point + "frames in / out", count(sp.frames_in) + " / " + count(sp.frames_out),
+                ">= " + count(expected) + ", in == out");
   }
-  // Cross-backend flush-cost gate (counter-based, hardware-independent): at
-  // the largest sweep point, edge-triggered epoll must spend measurably
-  // fewer flush syscalls per frame than the poll() fallback — the absorb
-  // rounds exist precisely to merge completions that poll's slower passes
-  // pay one syscall each for.
-  if (scaling_syscall_gate) {
-    const std::size_t largest = connection_sweep.back();
-    double poll_cost = 0.0;
-    double epoll_cost = 0.0;
-    for (const auto& sp : scaling) {
-      if (sp.connections != largest) continue;
-      if (sp.backend == net::IoBackend::kPoll) poll_cost = sp.syscalls_per_frame;
-      if (sp.backend == net::IoBackend::kEpoll) epoll_cost = sp.syscalls_per_frame;
-    }
-    benchutil::compare(
-        "epoll flush syscalls per frame vs poll (largest sweep)",
-        "<= 0.9x", Table::num(poll_cost > 0.0 ? epoll_cost / poll_cost : 0.0, 3) + "x");
-    pass = pass && poll_cost > 0.0 && epoll_cost > 0.0 &&
-           epoll_cost <= 0.9 * poll_cost;
+  if (scaling_qps_gate && scaling.size() >= 2) {
+    const ScalePoint& mid = scaling[scaling.size() - 2];
+    const ScalePoint& largest = scaling.back();
+    gates.check(mid.qps > 0.0 && largest.qps >= 0.9 * mid.qps,
+                "C QPS at " + std::to_string(largest.connections) + " vs " +
+                    std::to_string(mid.connections) + " connections",
+                Table::num(mid.qps > 0.0 ? largest.qps / mid.qps : 0.0, 3) + "x", ">= 0.9x");
   }
-  if (scaling_qps_gate && connection_sweep.size() >= 2) {
-    const std::size_t largest = connection_sweep.back();
-    const std::size_t mid = connection_sweep[connection_sweep.size() - 2];
-    for (const auto backend_under_test : backends) {
-      double qps_mid = 0.0;
-      double qps_large = 0.0;
-      for (const auto& sp : scaling) {
-        if (sp.backend != backend_under_test) continue;
-        if (sp.connections == mid) qps_mid = sp.qps;
-        if (sp.connections == largest) qps_large = sp.qps;
-      }
-      pass = pass && qps_mid > 0.0 && qps_large >= 0.9 * qps_mid;
-    }
-  }
-  std::printf("\nfleet_load: %s%s\n", pass ? "PASS" : "FAIL",
-              ratio_gate ? ""
-                         : " (p99 ratio gate skipped: sanitizer build or < 8 "
-                           "hardware threads)");
-  return pass ? 0 : 1;
+  return gates.verdict("fleet_load", gates_skipped);
 }

@@ -19,10 +19,9 @@
 // Results go to stdout (ASCII tables) and BENCH_net.json. `--smoke` keeps
 // everything tiny for CI; `--out <path>` redirects the JSON; `--shards N`
 // runs every phase against the ShardedTuningService router instead of a
-// single service (same gates — the wire contract is backend-agnostic);
-// `--io-backend poll|epoll` pins the server's event loop (default: the
-// platform's preferred backend) so CI can prove the poll() fallback carries
-// the same contract as edge-triggered epoll.
+// single service (same gates — the wire contract is backend-agnostic). The
+// server's IO loops wait on level-triggered poll() sets; a failing run names
+// every gate it failed with the measured value and the bound.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -76,23 +75,6 @@ struct DrainResult {
   std::uint64_t decode_errors = 0;
 };
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  // det:ok(wall-clock): measuring throughput/latency is this benchmark's purpose
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-/// One service or an N-shard router behind the same TuningBackend surface.
-std::unique_ptr<serve::TuningBackend> make_backend(std::size_t shards,
-                                                   const serve::ServiceOptions& options) {
-  if (shards > 1) {
-    serve::ShardOptions shard_options;
-    shard_options.shards = shards;
-    shard_options.service = options;
-    return std::make_unique<serve::ShardedTuningService>(shard_options);
-  }
-  return std::make_unique<serve::TuningService>(options);
-}
-
 /// One closed-loop client: `calls` pipelined bursts of depth `pipeline`,
 /// recording per-request latency samples (burst time / burst size).
 void client_loop(std::uint16_t port, std::size_t calls, std::size_t pipeline,
@@ -129,21 +111,20 @@ void client_loop(std::uint16_t port, std::size_t calls, std::size_t pipeline,
         ++failures;
       }
     }
-    latency_us.push_back(1e6 * seconds_since(t0) / static_cast<double>(burst));
+    latency_us.push_back(1e6 * benchutil::seconds_since(t0) / static_cast<double>(burst));
   }
 }
 
 WireLoadResult wire_load(const core::Rafiki& rafiki, std::size_t shards,
-                         net::IoBackend backend, std::size_t clients,
-                         std::size_t pipeline, std::size_t calls_per_client) {
+                         std::size_t clients, std::size_t pipeline,
+                         std::size_t calls_per_client) {
   serve::ServiceOptions options;
   options.workers = 2;
   options.queue_capacity = 4096;
-  auto service = make_backend(shards, options);
+  auto service = benchutil::make_backend(shards, options);
   service->publish(serve::make_snapshot(rafiki));
   service->start();
   net::ServerOptions server_options;
-  server_options.io_backend = backend;
   server_options.io_threads = 2;
   server_options.max_pipeline = pipeline + 1;  // the bench never self-throttles
   net::Server server(*service, server_options);
@@ -167,7 +148,7 @@ WireLoadResult wire_load(const core::Rafiki& rafiki, std::size_t shards,
     });
   }
   for (auto& thread : fleet) thread.join();
-  const double elapsed = seconds_since(t0);
+  const double elapsed = benchutil::seconds_since(t0);
   server.stop();
   service->stop();
 
@@ -193,19 +174,17 @@ WireLoadResult wire_load(const core::Rafiki& rafiki, std::size_t shards,
 }
 
 MixedResult mixed_load(const core::Rafiki& rafiki, std::size_t shards,
-                       net::IoBackend backend, std::size_t clients,
-                       std::size_t calls_per_client, std::size_t window_every) {
+                       std::size_t clients, std::size_t calls_per_client,
+                       std::size_t window_every) {
   serve::ServiceOptions options;
   options.workers = 2;
   options.queue_capacity = 4096;
   core::OnlineTuner tuner(rafiki);
-  auto service = make_backend(shards, options);
+  auto service = benchutil::make_backend(shards, options);
   service->publish(serve::make_snapshot(rafiki));
   service->attach_tuner(tuner);
   service->start();
-  net::ServerOptions server_options;
-  server_options.io_backend = backend;
-  net::Server server(*service, server_options);
+  net::Server server(*service);
   if (!server.start()) {
     std::fprintf(stderr, "net_load: server start failed: %s\n",
                  server.last_error().c_str());
@@ -249,16 +228,14 @@ MixedResult mixed_load(const core::Rafiki& rafiki, std::size_t shards,
 }
 
 DrainResult drain_under_fire(const core::Rafiki& rafiki, std::size_t shards,
-                             net::IoBackend backend, std::size_t clients,
-                             std::size_t pipeline) {
+                             std::size_t clients, std::size_t pipeline) {
   serve::ServiceOptions options;
   options.workers = 2;
   options.queue_capacity = 4096;
-  auto service = make_backend(shards, options);
+  auto service = benchutil::make_backend(shards, options);
   service->publish(serve::make_snapshot(rafiki));
   service->start();
   net::ServerOptions server_options;
-  server_options.io_backend = backend;
   server_options.max_pipeline = pipeline + 1;
   net::Server server(*service, server_options);
   if (!server.start()) {
@@ -338,16 +315,15 @@ DrainResult drain_under_fire(const core::Rafiki& rafiki, std::size_t shards,
 
 void write_json(const std::string& path, const std::vector<WireLoadResult>& load,
                 const MixedResult& mixed, const DrainResult& drain, bool smoke,
-                std::size_t shards, net::IoBackend backend) {
+                std::size_t shards) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "net_load: cannot write %s\n", path.c_str());
     return;
   }
   std::fprintf(out,
-               "{\n  \"bench\": \"net_load\",\n  \"smoke\": %s,\n  \"shards\": %zu,\n"
-               "  \"io_backend\": \"%s\",\n",
-               smoke ? "true" : "false", shards, net::io_backend_name(backend));
+               "{\n  \"bench\": \"net_load\",\n  \"smoke\": %s,\n  \"shards\": %zu,\n",
+               smoke ? "true" : "false", shards);
   // Every net_load gate is structural (transport correctness) and runs on
   // any machine, sanitizers included — nothing is ever skipped.
   std::fprintf(out, "  \"hw_threads\": %u,\n  \"gates_skipped\": %s,\n",
@@ -397,7 +373,6 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string out_path = "BENCH_net.json";
   std::size_t shards = 1;
-  net::IoBackend backend = net::default_io_backend();
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
@@ -405,16 +380,7 @@ int main(int argc, char** argv) {
       shards = static_cast<std::size_t>(std::atoi(argv[++i]));
       if (shards == 0) shards = 1;
     }
-    if (std::strcmp(argv[i], "--io-backend") == 0 && i + 1 < argc) {
-      if (!net::parse_io_backend(argv[++i], backend) ||
-          !net::io_backend_available(backend)) {
-        std::fprintf(stderr, "net_load: unknown or unavailable io backend '%s'\n",
-                     argv[i]);
-        return 1;
-      }
-    }
   }
-  benchutil::note(std::string("io backend: ") + net::io_backend_name(backend));
 
   core::RafikiOptions options;
   options.workload_grid = smoke ? std::vector<double>{0.2, 0.8}
@@ -434,7 +400,7 @@ int main(int argc, char** argv) {
   std::vector<WireLoadResult> load;
   for (std::size_t clients : {1u, 4u}) {
     for (std::size_t pipeline : {1u, 16u}) {
-      load.push_back(wire_load(rafiki, shards, backend, clients, pipeline, calls));
+      load.push_back(wire_load(rafiki, shards, clients, pipeline, calls));
     }
   }
   Table load_table({"clients", "pipeline", "QPS", "client p50 us", "client p99 us",
@@ -450,8 +416,8 @@ int main(int argc, char** argv) {
   benchutil::emit(load_table, "Phase A: closed-loop wire load (loopback RPC)");
 
   // Phase B: mixed endpoints with regime shifts through the wire.
-  const auto mixed = mixed_load(rafiki, shards, backend, smoke ? 2 : 4,
-                                smoke ? 40 : 200, smoke ? 10 : 25);
+  const auto mixed =
+      mixed_load(rafiki, shards, smoke ? 2 : 4, smoke ? 40 : 200, smoke ? 10 : 25);
   Table mixed_table({"metric", "value"});
   mixed_table.add_row({"Predict completed", std::to_string(mixed.predicts)});
   mixed_table.add_row({"ObserveWindow completed", std::to_string(mixed.windows)});
@@ -464,7 +430,7 @@ int main(int argc, char** argv) {
 
   // Phase C: graceful drain with deep pipelines in flight.
   const auto drain =
-      drain_under_fire(rafiki, shards, backend, smoke ? 2 : 4, smoke ? 16 : 64);
+      drain_under_fire(rafiki, shards, smoke ? 2 : 4, smoke ? 16 : 64);
   Table drain_table({"metric", "value"});
   drain_table.add_row({"frames submitted", std::to_string(drain.submitted)});
   drain_table.add_row({"answered Ok", std::to_string(drain.answered_ok)});
@@ -475,17 +441,33 @@ int main(int argc, char** argv) {
   benchutil::compare("frames lost across a server drain", "0",
                      std::to_string(drain.lost));
 
-  write_json(out_path, load, mixed, drain, smoke, shards, backend);
+  write_json(out_path, load, mixed, drain, smoke, shards);
 
   // Gates: transport correctness always (sanitizers included) — zero decode
   // errors, zero dropped responses, wire accounting balanced.
-  bool pass = mixed.failed == 0 && drain.lost == 0 && drain.decode_errors == 0;
-  pass = pass && drain.answered_ok + drain.answered_shutdown == drain.submitted;
-  pass = pass && mixed.stale_windows >= 1 && mixed.versions_published > 1;
+  const auto count = [](std::uint64_t n) { return std::to_string(n); };
+  benchutil::Gates gates;
+  gates.check(mixed.failed == 0, "B failed calls", count(mixed.failed), "== 0");
+  gates.check(mixed.stale_windows >= 1, "B stale-served windows",
+              count(mixed.stale_windows), ">= 1");
+  gates.check(mixed.versions_published > 1, "B snapshot versions",
+              count(mixed.versions_published), "> 1");
+  gates.check(drain.lost == 0, "C frames lost in the drain", count(drain.lost), "== 0");
+  gates.check(drain.decode_errors == 0, "C decode errors", count(drain.decode_errors),
+              "== 0");
+  gates.check(drain.answered_ok + drain.answered_shutdown == drain.submitted,
+              "C frames answered in the drain",
+              count(drain.answered_ok + drain.answered_shutdown),
+              "== " + count(drain.submitted) + " submitted");
   for (const auto& l : load) {
-    pass = pass && l.transport_failures == 0 && l.decode_errors == 0;
-    pass = pass && l.frames_in == l.frames_out;
+    const std::string point = "A[" + std::to_string(l.clients) + " clients x pipeline " +
+                              std::to_string(l.pipeline) + "] ";
+    gates.check(l.transport_failures == 0, point + "transport failures",
+                count(l.transport_failures), "== 0");
+    gates.check(l.decode_errors == 0, point + "decode errors", count(l.decode_errors),
+                "== 0");
+    gates.check(l.frames_in == l.frames_out, point + "frames out", count(l.frames_out),
+                "== " + count(l.frames_in) + " frames in");
   }
-  std::printf("\nnet_load: %s\n", pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  return gates.verdict("net_load", {});
 }

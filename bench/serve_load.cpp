@@ -134,11 +134,6 @@ struct RebalanceResult {
   bool route_changed = false;
 };
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  // det:ok(wall-clock): measuring throughput/latency is this benchmark's purpose
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
 std::vector<engine::Config> random_configs(std::size_t n, Rng& rng) {
   const auto& params = engine::key_params();
   std::vector<engine::Config> configs;
@@ -149,18 +144,6 @@ std::vector<engine::Config> random_configs(std::size_t n, Rng& rng) {
     configs.push_back(config);
   }
   return configs;
-}
-
-/// One service or an N-shard router behind the same TuningBackend surface.
-std::unique_ptr<serve::TuningBackend> make_backend(std::size_t shards,
-                                                   const serve::ServiceOptions& options) {
-  if (shards > 1) {
-    serve::ShardOptions shard_options;
-    shard_options.shards = shards;
-    shard_options.service = options;
-    return std::make_unique<serve::ShardedTuningService>(shard_options);
-  }
-  return std::make_unique<serve::TuningService>(options);
 }
 
 std::uint64_t backend_spills(const serve::TuningBackend& backend) {
@@ -194,7 +177,7 @@ MicroResult micro_bench(const core::Rafiki& rafiki, std::size_t batch, std::size
     for (std::size_t rep = 0; rep < repeats; ++rep) {
       for (std::size_t i = 0; i < rows; ++i) single[i] = rafiki.predict(rr, configs[i]);
     }
-    const double elapsed = seconds_since(t0);
+    const double elapsed = benchutil::seconds_since(t0);
     if (pass == 0 || elapsed < single_s) single_s = elapsed;
   }
 
@@ -212,7 +195,7 @@ MicroResult micro_bench(const core::Rafiki& rafiki, std::size_t batch, std::size
         for (std::size_t i = lo; i < hi; ++i) batched[i] = out[i - lo];
       }
     }
-    const double elapsed = seconds_since(t1);
+    const double elapsed = benchutil::seconds_since(t1);
     if (pass == 0 || elapsed < batched_s) batched_s = elapsed;
   }
 
@@ -229,7 +212,7 @@ LoadResult load_bench(const core::Rafiki& rafiki, std::size_t shards, std::size_
   options.workers = 2;
   options.max_batch = max_batch;
   options.queue_capacity = 4096;
-  auto service = make_backend(shards, options);
+  auto service = benchutil::make_backend(shards, options);
   service->publish(serve::make_snapshot(rafiki));
   service->start();
 
@@ -248,7 +231,7 @@ LoadResult load_bench(const core::Rafiki& rafiki, std::size_t shards, std::size_
     });
   }
   for (auto& client : pool) client.join();
-  const double elapsed = seconds_since(t0);
+  const double elapsed = benchutil::seconds_since(t0);
   service->stop();
 
   LoadResult result;
@@ -271,7 +254,7 @@ SwapResult swap_bench(const core::Rafiki& rafiki, std::size_t shards, std::size_
   serve::ServiceOptions options;
   options.workers = 2;
   options.queue_capacity = 4096;
-  auto service = make_backend(shards, options);
+  auto service = benchutil::make_backend(shards, options);
   service->publish(serve::make_snapshot(rafiki));
   service->start();
 
@@ -308,7 +291,7 @@ RegimeResult regime_bench(const core::Rafiki& rafiki, std::size_t shards,
   options.workers = 2;
   options.queue_capacity = 4096;
   core::OnlineTuner tuner(rafiki);
-  auto service = make_backend(shards, options);
+  auto service = benchutil::make_backend(shards, options);
   service->publish(serve::make_snapshot(rafiki));
   service->attach_tuner(tuner);
   service->start();
@@ -380,7 +363,7 @@ ParityResult parity_bench(const core::Rafiki& rafiki, std::size_t shards,
     options.workers = 2;
     options.max_batch = 32;
     options.queue_capacity = 4096;
-    auto service = make_backend(n_shards, options);
+    auto service = benchutil::make_backend(n_shards, options);
     service->publish(serve::make_snapshot(rafiki));
     service->start();
     std::vector<double> means(requests, 0.0);
@@ -521,7 +504,7 @@ double closed_loop_qps(serve::TuningBackend& service, std::size_t concurrency,
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t c = 0; c < concurrency; ++c) run_chain(loop);
   finished.wait();
-  const double elapsed = seconds_since(t0);
+  const double elapsed = benchutil::seconds_since(t0);
   failed_out += loop->failed.load(std::memory_order_relaxed);
   return elapsed > 0.0 ? static_cast<double>(loop->ok.load(std::memory_order_relaxed)) /
                              elapsed
@@ -558,7 +541,7 @@ ScalingResult scaling_bench(const core::Rafiki& rafiki, std::size_t n_shards,
   options.workers = 2;
   options.max_batch = 1;
   options.queue_capacity = 4096;
-  auto service = make_backend(n_shards, options);
+  auto service = benchutil::make_backend(n_shards, options);
   service->publish(serve::make_snapshot(rafiki));
   service->start();
 

@@ -1,241 +1,80 @@
 #include "net/poller.h"
 
 #include <fcntl.h>
-#include <poll.h>
 #include <unistd.h>
 
 #ifdef __linux__
-#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #endif
-
-#include <cstring>
 
 namespace rafiki::net {
 namespace {
 
-/// Level-triggered fallback: a persistent ::poll() set maintained
-/// incrementally. fd -> slot lookups go through a dense vector (fds are
-/// small integers), so add/mod/del are O(1) and wait() never rebuilds.
-class PollPoller final : public EventPoller {
- public:
-  bool add(int fd, bool want_read, bool want_write, void* data) override {
-    if (fd < 0 || slot_of(fd) >= 0) return false;
-    if (static_cast<std::size_t>(fd) >= slots_.size()) {
-      slots_.resize(static_cast<std::size_t>(fd) + 1, -1);
-    }
-    slots_[static_cast<std::size_t>(fd)] = static_cast<int>(pfds_.size());
-    pfds_.push_back({fd, mask(want_read, want_write), 0});
-    data_.push_back(data);
-    return true;
-  }
-
-  bool mod(int fd, bool want_read, bool want_write) override {
-    const int slot = slot_of(fd);
-    if (slot < 0) return false;
-    pfds_[static_cast<std::size_t>(slot)].events = mask(want_read, want_write);
-    return true;
-  }
-
-  bool del(int fd) override {
-    const int slot = slot_of(fd);
-    if (slot < 0) return false;
-    const std::size_t s = static_cast<std::size_t>(slot);
-    const std::size_t last = pfds_.size() - 1;
-    if (s != last) {
-      pfds_[s] = pfds_[last];
-      data_[s] = data_[last];
-      slots_[static_cast<std::size_t>(pfds_[s].fd)] = slot;
-    }
-    pfds_.pop_back();
-    data_.pop_back();
-    slots_[static_cast<std::size_t>(fd)] = -1;
-    return true;
-  }
-
-  std::size_t wait(int timeout_ms, std::vector<PollerEvent>& out) override {
-    const int n = ::poll(pfds_.data(), pfds_.size(), timeout_ms);
-    if (n <= 0) return 0;  // timeout, or EINTR reported as no events
-    std::size_t appended = 0;
-    for (std::size_t i = 0; i < pfds_.size() && appended < static_cast<std::size_t>(n); ++i) {
-      const short revents = pfds_[i].revents;
-      if (revents == 0) continue;
-      PollerEvent ev;
-      ev.fd = pfds_[i].fd;
-      ev.data = data_[i];
-      ev.readable = (revents & POLLIN) != 0;
-      ev.writable = (revents & POLLOUT) != 0;
-      ev.hangup = (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      out.push_back(ev);
-      ++appended;
-    }
-    return appended;
-  }
-
-  IoBackend backend() const noexcept override { return IoBackend::kPoll; }
-  bool edge_triggered() const noexcept override { return false; }
-
- private:
-  static short mask(bool want_read, bool want_write) noexcept {
-    short events = 0;
-    if (want_read) events = static_cast<short>(events | POLLIN);
-    if (want_write) events = static_cast<short>(events | POLLOUT);
-    return events;
-  }
-
-  int slot_of(int fd) const noexcept {
-    if (fd < 0 || static_cast<std::size_t>(fd) >= slots_.size()) return -1;
-    return slots_[static_cast<std::size_t>(fd)];
-  }
-
-  std::vector<pollfd> pfds_;
-  std::vector<void*> data_;  ///< parallel to pfds_
-  std::vector<int> slots_;   ///< fd -> index into pfds_, -1 = unregistered
-};
-
-#ifdef __linux__
-
-/// Edge-triggered epoll. Registration subscribes to both directions once
-/// (EPOLLIN|EPOLLOUT|EPOLLET); interest filtering is the consumer's ready
-/// flags, so mod() never issues a syscall. epoll_data is a union, so each
-/// registration gets a heap node carrying {fd, data} and the node pointer
-/// rides in epoll_data.ptr — events echo both in O(1).
-class EpollPoller final : public EventPoller {
- public:
-  explicit EpollPoller(int epfd) : epfd_(epfd), buf_(kWaitBatch) {}
-  ~EpollPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-
-  bool add(int fd, bool /*want_read*/, bool /*want_write*/, void* data) override {
-    if (fd < 0) return false;
-    auto reg = std::make_unique<Reg>(Reg{fd, data});
-    epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLOUT | EPOLLET;
-    ev.data.ptr = reg.get();
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0) return false;
-    if (static_cast<std::size_t>(fd) >= regs_.size()) {
-      regs_.resize(static_cast<std::size_t>(fd) + 1);
-    }
-    regs_[static_cast<std::size_t>(fd)] = std::move(reg);
-    return true;
-  }
-
-  bool mod(int /*fd*/, bool /*want_read*/, bool /*want_write*/) override {
-    return true;  // always subscribed to both directions; nothing to change
-  }
-
-  bool del(int fd) override {
-    if (fd < 0 || static_cast<std::size_t>(fd) >= regs_.size() ||
-        regs_[static_cast<std::size_t>(fd)] == nullptr) {
-      return false;
-    }
-    // The node must outlive any events already copied out of the kernel for
-    // this fd in the current wait batch; the server deregisters only from
-    // the loop thread between waits, so freeing here is safe.
-    regs_[static_cast<std::size_t>(fd)].reset();
-    return ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr) == 0;
-  }
-
-  std::size_t wait(int timeout_ms, std::vector<PollerEvent>& out) override {
-    const int n = ::epoll_wait(epfd_, buf_.data(), static_cast<int>(buf_.size()), timeout_ms);
-    if (n <= 0) return 0;  // timeout, or EINTR reported as no events
-    for (int i = 0; i < n; ++i) {
-      const auto& src = buf_[static_cast<std::size_t>(i)];
-      const auto* reg = static_cast<const Reg*>(src.data.ptr);
-      PollerEvent ev;
-      ev.fd = reg->fd;
-      ev.data = reg->data;
-      ev.readable = (src.events & EPOLLIN) != 0;
-      ev.writable = (src.events & EPOLLOUT) != 0;
-      ev.hangup = (src.events & (EPOLLERR | EPOLLHUP)) != 0;
-      out.push_back(ev);
-    }
-    return static_cast<std::size_t>(n);
-  }
-
-  IoBackend backend() const noexcept override { return IoBackend::kEpoll; }
-  bool edge_triggered() const noexcept override { return true; }
-
- private:
-  static constexpr std::size_t kWaitBatch = 256;
-
-  struct Reg {
-    int fd;
-    void* data;
-  };
-
-  int epfd_;
-  std::vector<epoll_event> buf_;
-  std::vector<std::unique_ptr<Reg>> regs_;  ///< indexed by fd
-};
-
-#endif  // __linux__
+short interest_mask(bool want_read, bool want_write) noexcept {
+  short events = 0;
+  if (want_read) events = static_cast<short>(events | POLLIN);
+  if (want_write) events = static_cast<short>(events | POLLOUT);
+  return events;
+}
 
 }  // namespace
 
-const char* io_backend_name(IoBackend backend) noexcept {
-  switch (backend) {
-    case IoBackend::kPoll:
-      return "poll";
-    case IoBackend::kEpoll:
-      return "epoll";
+bool PollPoller::add(int fd, bool want_read, bool want_write, void* data) {
+  if (fd < 0 || slot_of(fd) >= 0) return false;
+  if (static_cast<std::size_t>(fd) >= slots_.size()) {
+    slots_.resize(static_cast<std::size_t>(fd) + 1, -1);
   }
-  return "unknown";
-}
-
-bool io_backend_available(IoBackend backend) noexcept {
-#ifdef __linux__
-  (void)backend;
+  slots_[static_cast<std::size_t>(fd)] = static_cast<int>(pfds_.size());
+  pfds_.push_back({fd, interest_mask(want_read, want_write), 0});
+  data_.push_back(data);
   return true;
-#else
-  return backend == IoBackend::kPoll;
-#endif
 }
 
-IoBackend default_io_backend() noexcept {
-#ifdef __linux__
-  return IoBackend::kEpoll;
-#else
-  return IoBackend::kPoll;
-#endif
+bool PollPoller::mod(int fd, bool want_read, bool want_write) {
+  const int slot = slot_of(fd);
+  if (slot < 0) return false;
+  pfds_[static_cast<std::size_t>(slot)].events = interest_mask(want_read, want_write);
+  return true;
 }
 
-bool parse_io_backend(const char* text, IoBackend& out) noexcept {
-  if (text == nullptr) return false;
-  if (std::strcmp(text, "poll") == 0) {
-    out = IoBackend::kPoll;
-    return true;
+bool PollPoller::del(int fd) {
+  const int slot = slot_of(fd);
+  if (slot < 0) return false;
+  const std::size_t s = static_cast<std::size_t>(slot);
+  const std::size_t last = pfds_.size() - 1;
+  if (s != last) {
+    pfds_[s] = pfds_[last];
+    data_[s] = data_[last];
+    slots_[static_cast<std::size_t>(pfds_[s].fd)] = slot;
   }
-  if (std::strcmp(text, "epoll") == 0) {
-    out = IoBackend::kEpoll;
-    return true;
-  }
-  return false;
+  pfds_.pop_back();
+  data_.pop_back();
+  slots_[static_cast<std::size_t>(fd)] = -1;
+  return true;
 }
 
-std::vector<IoBackend> available_io_backends() {
-  std::vector<IoBackend> backends{default_io_backend()};
-  if (backends[0] != IoBackend::kPoll) backends.push_back(IoBackend::kPoll);
-  return backends;
+std::size_t PollPoller::wait(int timeout_ms, std::vector<PollerEvent>& out) {
+  const int n = ::poll(pfds_.data(), pfds_.size(), timeout_ms);
+  if (n <= 0) return 0;  // timeout, or EINTR reported as no events
+  std::size_t appended = 0;
+  for (std::size_t i = 0; i < pfds_.size() && appended < static_cast<std::size_t>(n); ++i) {
+    const short revents = pfds_[i].revents;
+    if (revents == 0) continue;
+    PollerEvent ev;
+    ev.fd = pfds_[i].fd;
+    ev.data = data_[i];
+    ev.readable = (revents & POLLIN) != 0;
+    ev.writable = (revents & POLLOUT) != 0;
+    ev.hangup = (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+    out.push_back(ev);
+    ++appended;
+  }
+  return appended;
 }
 
-std::unique_ptr<EventPoller> EventPoller::create(IoBackend backend) {
-  switch (backend) {
-    case IoBackend::kPoll:
-      return std::make_unique<PollPoller>();
-    case IoBackend::kEpoll:
-#ifdef __linux__
-    {
-      const int epfd = ::epoll_create1(EPOLL_CLOEXEC);
-      if (epfd < 0) return nullptr;
-      return std::make_unique<EpollPoller>(epfd);
-    }
-#else
-      return nullptr;
-#endif
-  }
-  return nullptr;
+int PollPoller::slot_of(int fd) const noexcept {
+  if (fd < 0 || static_cast<std::size_t>(fd) >= slots_.size()) return -1;
+  return slots_[static_cast<std::size_t>(fd)];
 }
 
 Waker::Waker() {

@@ -1,26 +1,8 @@
-// net::EventPoller — the IO-readiness engine behind net::Server.
-//
-// Two backends sit behind one interface:
-//
-//   * kPoll  — a persistent ::poll() set (level-triggered). The pollfd array
-//     is maintained incrementally (add/mod/del), never rebuilt per pass, but
-//     the kernel still scans every registered fd on each wait. Portable
-//     fallback; kept fully testable everywhere.
-//   * kEpoll — edge-triggered epoll (Linux only). Every fd is registered
-//     once with EPOLLIN|EPOLLOUT|EPOLLET and never re-armed: wait() is
-//     O(ready), and interest changes never touch the kernel.
-//
-// Edge-trigger contract (what the server relies on):
-//
-//   * A readiness event is reported once per *transition* (and once at
-//     registration if the fd is already ready). The consumer must remember
-//     reported readiness in its own state ("read-ready" / "write-ready"
-//     flags) and keep consuming until the syscall says EAGAIN — only EAGAIN
-//     clears the remembered state, because only a fresh transition will be
-//     reported again.
-//   * mod() is a level-triggered concern (POLLIN/POLLOUT interest masks);
-//     the epoll backend accepts it as a no-op since it always subscribes to
-//     both directions and lets the consumer's flags do the filtering.
+// net::PollPoller — the IO-readiness engine behind net::Server: a persistent,
+// level-triggered ::poll() set. The pollfd array is maintained incrementally
+// (add/mod/del), never rebuilt per pass; the kernel scans every registered fd
+// on each wait, and every wait re-reports readiness that is still pending, so
+// the consumer keeps no readiness memory of its own beyond "parked on EAGAIN".
 //
 // Waker lifecycle: the Waker below is the cross-thread doorbell (eventfd on
 // Linux, a pipe elsewhere). Producers may hold it past the consumer's exit —
@@ -30,33 +12,17 @@
 // one write().
 #pragma once
 
+#include <poll.h>
+
 #include <atomic>
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace rafiki::net {
 
-/// Which readiness engine an IO loop runs on.
-enum class IoBackend : std::uint8_t {
-  kPoll = 0,   ///< level-triggered ::poll(); portable fallback
-  kEpoll = 1,  ///< edge-triggered epoll; Linux only
-};
-
-/// "poll" / "epoll".
-const char* io_backend_name(IoBackend backend) noexcept;
-/// Whether this build can construct the backend (epoll is Linux-only).
-bool io_backend_available(IoBackend backend) noexcept;
-/// Platform default: epoll where available, poll elsewhere.
-IoBackend default_io_backend() noexcept;
-/// Parses "poll"/"epoll" into `out`; false on anything else.
-bool parse_io_backend(const char* text, IoBackend& out) noexcept;
-/// Every backend this build can run, default first (for test/bench sweeps).
-std::vector<IoBackend> available_io_backends();
-
-/// One ready fd out of EventPoller::wait(). `data` is whatever the caller
+/// One ready fd out of PollPoller::wait(). `data` is whatever the caller
 /// registered; `fd` disambiguates registrations that share a data pointer
 /// (the server's waker/listener sentinels).
 struct PollerEvent {
@@ -64,41 +30,37 @@ struct PollerEvent {
   void* data = nullptr;
   bool readable = false;
   bool writable = false;
-  /// POLLERR/POLLHUP (or epoll equivalents). The consumer should attempt a
-  /// read: it surfaces the error/EOF through the normal recv() path.
+  /// POLLERR/POLLHUP/POLLNVAL. The consumer should attempt a read: it
+  /// surfaces the error/EOF through the normal recv() path.
   bool hangup = false;
 };
 
-/// Readiness multiplexer. Not thread-safe: one loop thread owns an instance
-/// (registration, waits, and teardown all happen there).
-class EventPoller {
+/// Readiness multiplexer. fd -> slot lookups go through a dense vector (fds
+/// are small integers), so add/mod/del are O(1). Not thread-safe: one loop
+/// thread owns an instance (registration, waits, and teardown all happen
+/// there).
+class PollPoller {
  public:
-  virtual ~EventPoller() = default;
-
-  /// Registers fd. Level-triggered backends honor the want_* interest mask
-  /// (adjust later via mod()); the edge-triggered backend subscribes to both
-  /// directions once and ignores the mask. False on kernel refusal.
-  virtual bool add(int fd, bool want_read, bool want_write, void* data) = 0;
-  /// Updates the interest mask (level-triggered backends only; edge-triggered
-  /// registrations never need re-arming). False if fd is unknown.
-  virtual bool mod(int fd, bool want_read, bool want_write) = 0;
-  /// Deregisters fd. Call before close(): a closed fd silently vanishes from
-  /// epoll but would poison a poll() set. False if fd is unknown.
-  virtual bool del(int fd) = 0;
+  /// Registers fd with the want_* interest mask (adjust later via mod()).
+  /// False if fd is negative or already registered.
+  bool add(int fd, bool want_read, bool want_write, void* data);
+  /// Updates the interest mask. False if fd is unknown.
+  bool mod(int fd, bool want_read, bool want_write);
+  /// Deregisters fd. Call before close(): a closed fd would poison the set.
+  /// False if fd is unknown.
+  bool del(int fd);
   /// Blocks up to timeout_ms (-1 = forever, 0 = non-blocking) and appends
   /// ready fds to `out` (which is not cleared). Returns the number appended.
   /// EINTR reports as 0 events so the caller re-evaluates deadlines instead
   /// of silently restarting the full timeout.
-  virtual std::size_t wait(int timeout_ms, std::vector<PollerEvent>& out) = 0;
+  std::size_t wait(int timeout_ms, std::vector<PollerEvent>& out);
 
-  virtual IoBackend backend() const noexcept = 0;
-  /// True when readiness is reported per transition rather than per wait —
-  /// the consumer must keep its own ready flags (see contract above).
-  virtual bool edge_triggered() const noexcept = 0;
+ private:
+  int slot_of(int fd) const noexcept;
 
-  /// Constructs the backend, or nullptr when it is unavailable on this
-  /// platform / the kernel refuses (epoll_create failure).
-  static std::unique_ptr<EventPoller> create(IoBackend backend);
+  std::vector<pollfd> pfds_;
+  std::vector<void*> data_;  ///< parallel to pfds_
+  std::vector<int> slots_;   ///< fd -> index into pfds_, -1 = unregistered
 };
 
 /// Cross-thread doorbell for an IO loop: eventfd on Linux, a pipe elsewhere.
@@ -119,8 +81,7 @@ class Waker {
   /// undrained, this is a single atomic exchange and no syscall.
   void wake() noexcept;
   /// Consumer side: swallow pending wake bytes and re-open the coalescing
-  /// window. Must be called every time the read fd reports readable (an
-  /// edge-triggered registration is not re-armed until the counter drains).
+  /// window. Must be called every time the read fd reports readable.
   void drain() noexcept;
 
  private:
@@ -137,9 +98,9 @@ class Waker {
 };
 
 /// Retries fn() while it fails with EINTR. Every raw byte-moving syscall in
-/// src/net/ (send/recv/accept4/read/write) goes through this; poll and
-/// epoll_wait instead surface EINTR as "0 events" so callers re-evaluate
-/// drain deadlines rather than restarting the full timeout.
+/// src/net/ (send/recv/accept4/read/write) goes through this; poll instead
+/// surfaces EINTR as "0 events" so callers re-evaluate drain deadlines
+/// rather than restarting the full timeout.
 template <typename Fn>
 auto retry_eintr(Fn&& fn) -> decltype(fn()) {
   for (;;) {

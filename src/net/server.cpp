@@ -59,12 +59,6 @@ bool Server::start() {
   if (started_) return !stopped_;
   if (stopped_) return false;
 
-  if (!io_backend_available(options_.io_backend)) {
-    last_error_ = std::string("io backend '") + io_backend_name(options_.io_backend) +
-                  "' is unavailable on this platform";
-    return false;
-  }
-
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
     last_error_ = "socket() failed";
@@ -109,14 +103,12 @@ bool Server::start() {
   for (std::size_t i = 0; i < options_.io_threads; ++i) {
     auto loop = std::make_unique<Loop>();
     loop->mailbox = std::make_shared<Mailbox>();
-    loop->poller = EventPoller::create(options_.io_backend);
     // Registration happens here (single-threaded) so failures surface as a
     // start() error instead of a silently deaf loop.
-    if (!loop->mailbox->waker.valid() || loop->poller == nullptr ||
-        !loop->poller->add(loop->mailbox->waker.read_fd(), true, false, nullptr) ||
-        (i == 0 && !loop->poller->add(listen_fd_, true, false, nullptr))) {
-      last_error_ = std::string("io loop setup failed for backend '") +
-                    io_backend_name(options_.io_backend) + "'";
+    if (!loop->mailbox->waker.valid() ||
+        !loop->poller.add(loop->mailbox->waker.read_fd(), true, false, nullptr) ||
+        (i == 0 && !loop->poller.add(listen_fd_, true, false, nullptr))) {
+      last_error_ = "io loop setup failed";
       ::close(listen_fd_);
       listen_fd_ = -1;
       loops_.clear();
@@ -196,14 +188,10 @@ void Server::loop_main(std::size_t index) {
       continue;  // late handoff or backlog adoption: serve it next pass
     }
 
-    // Believed-unread data (rbuf-cap leftovers, resumed readers) means more
-    // work right now; a draining loop otherwise sleeps exactly until the
-    // grace deadline — the next event (completion, FIN, racing bytes) wakes
-    // it earlier.
+    // A draining loop sleeps exactly until the grace deadline — the next
+    // event (completion, FIN, racing bytes) wakes it earlier.
     int timeout_ms = -1;
-    if (!loop.read_set.empty()) {
-      timeout_ms = 0;
-    } else if (draining) {
+    if (draining) {
       // det:ok(wall-clock): the drain grace bounds real elapsed time by design
       const auto now = std::chrono::steady_clock::now();
       timeout_ms = now >= drain_deadline
@@ -215,12 +203,11 @@ void Server::loop_main(std::size_t index) {
     }
 
     loop.events.clear();
-    loop.poller->wait(timeout_ms, loop.events);
+    loop.poller.wait(timeout_ms, loop.events);
     const bool saw_accept = dispatch_events(loop);
     if (acceptor && saw_accept) do_accept(loop);
     grab_mailbox(loop);
     read_pass(loop);
-    absorb_completions(loop, acceptor);
     flush_pass(loop);
     if (draining) drain_sweep(loop, drain_deadline);
   }
@@ -237,28 +224,23 @@ void Server::adopt_incoming(Loop& loop) {
 }
 
 void Server::register_conn(Loop& loop, ConnectionPtr conn) {
-  if (!loop.poller->add(conn->fd, true, false, conn.get())) {
+  // Bytes that arrived before registration report on the next wait.
+  if (!loop.poller.add(conn->fd, true, false, conn.get())) {
     close_connection(loop, *conn);
     return;
   }
   conn->conn_index = loop.conns.size();
-  // The socket may have carried bytes before registration; the first read
-  // pass finds out (edge-triggered backends also report pre-existing
-  // readiness at add, but remembering it here costs one EAGAIN at most).
-  conn->read_ready = true;
-  conn->in_read_set = true;
-  loop.read_set.push_back(conn);
   loop.conns.push_back(std::move(conn));
 }
 
 void Server::do_accept(Loop& loop) {
   for (;;) {
-    // EINTR must retry, not bail: under edge triggering a connection already
-    // in the backlog re-arms no readiness edge, so a dropped iteration here
-    // could strand it until the next unrelated arrival.
+    // EINTR retries rather than ending the batch early; a non-empty backlog
+    // would re-report anyway, but a signal storm must not cost a loop pass
+    // per accepted connection.
     const int fd = retry_eintr(
         [&] { return ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC); });
-    if (fd < 0) return;  // EAGAIN (or a transient error): the next edge retries
+    if (fd < 0) return;  // EAGAIN (or a transient error): the next wait retries
     // Approximate admission bound: closes on other loops may lag a beat,
     // which only makes the cap momentarily conservative. Relaxed is enough.
     if (open_connections_.load(std::memory_order_relaxed) >= options_.max_connections) {
@@ -312,7 +294,9 @@ bool Server::dispatch_events(Loop& loop) {
       // surface the error even on a read-throttled connection.
       conn->read_paused = false;
     }
-    if (ev.readable || ev.hangup) conn->read_ready = true;
+    if ((ev.readable || ev.hangup) && !conn->read_paused) {
+      loop.read_set.push_back(conn->shared_from_this());
+    }
     if (ev.writable) {
       conn->write_ready = true;
       MutexLock lock(conn->out_mutex);
@@ -320,10 +304,6 @@ bool Server::dispatch_events(Loop& loop) {
         conn->flush_queued = true;
         loop.flush_set.push_back(conn->shared_from_this());
       }
-    }
-    if (conn->read_ready && !conn->read_paused && !conn->in_read_set) {
-      conn->in_read_set = true;
-      loop.read_set.push_back(conn->shared_from_this());
     }
   }
   loop.events.clear();
@@ -344,63 +324,16 @@ void Server::grab_mailbox(Loop& loop) {
 }
 
 void Server::read_pass(Loop& loop) {
-  // Entries appended during the pass (flush resumptions) are next pass's
-  // work; snapshot the size so the compaction below stays simple.
-  const std::size_t n = loop.read_set.size();
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    ConnectionPtr conn = std::move(loop.read_set[i]);
-    conn->in_read_set = false;
+  for (const ConnectionPtr& conn : loop.read_set) {
     if (conn->fd < 0) continue;
-    if (!conn->read_ready || conn->read_paused) continue;
     handle_read(loop, *conn);
     process_frames(loop, conn);
     if (should_close(*conn)) {
       close_connection(loop, *conn);
       remove_conn(loop, *conn);
-      continue;
-    }
-    if (conn->read_ready && !conn->read_paused) {
-      conn->in_read_set = true;
-      loop.read_set[kept++] = std::move(conn);
     }
   }
-  // Compact: drop the processed prefix, keep late appendees.
-  if (kept < n) {
-    loop.read_set.erase(loop.read_set.begin() + static_cast<std::ptrdiff_t>(kept),
-                        loop.read_set.begin() + static_cast<std::ptrdiff_t>(n));
-  }
-}
-
-void Server::absorb_completions(Loop& loop, bool acceptor) {
-  if (!loop.poller->edge_triggered() || options_.flush_absorb_rounds == 0) return;
-  if (loop.flush_set.empty() &&
-      loop.mailbox->outstanding.load(std::memory_order_relaxed) == 0) {
-    return;
-  }
-  // Completions race the pass: a response finishing while we were still
-  // reading other connections would otherwise flush alone next pass. Under
-  // edge triggering a zero-timeout re-wait is O(ready) — effectively free —
-  // so give the workers a beat (yield) and fold whatever landed into this
-  // pass's flushes. Bounded rounds keep the added latency to microseconds
-  // even when a slow request (a GA optimize) pins `outstanding` high.
-  for (std::size_t round = 0; round < options_.flush_absorb_rounds; ++round) {
-    if (loop.mailbox->outstanding.load(std::memory_order_relaxed) > 0) {
-      std::this_thread::yield();
-    }
-    loop.events.clear();
-    const std::size_t got = loop.poller->wait(0, loop.events);
-    if (got == 0 &&
-        loop.mailbox->outstanding.load(std::memory_order_relaxed) == 0) {
-      break;
-    }
-    if (got > 0) {
-      const bool saw_accept = dispatch_events(loop);
-      if (acceptor && saw_accept) do_accept(loop);
-      grab_mailbox(loop);
-      read_pass(loop);
-    }
-  }
+  loop.read_set.clear();
 }
 
 void Server::flush_pass(Loop& loop) {
@@ -445,10 +378,7 @@ void Server::drain_sweep(Loop& loop, std::chrono::steady_clock::time_point deadl
 }
 
 void Server::handle_read(Loop& loop, Connection& conn) {
-  if (conn.read_closed || conn.fatal || conn.dead.load(std::memory_order_relaxed)) {
-    conn.read_ready = false;
-    return;
-  }
+  if (conn.read_closed || conn.fatal || conn.dead.load(std::memory_order_relaxed)) return;
   // Bound unprocessed buffering: one oversized-frame claim is rejected at
   // decode, so two max frames of slack is plenty.
   const std::size_t cap = 2 * (options_.max_payload + kHeaderSize);
@@ -456,14 +386,13 @@ void Server::handle_read(Loop& loop, Connection& conn) {
     if (conn.obuf_bytes.load(std::memory_order_relaxed) >= options_.max_output_buffer) {
       // Output high-water: the peer is not draining its responses. Stop
       // reading (flush() resumes below half) so its pipeline backs up into
-      // its own TCP window instead of server memory. read_ready survives —
-      // under edge triggering no new readiness edge will announce the bytes
-      // we deliberately left in the kernel.
+      // its own TCP window instead of server memory.
       conn.read_paused = true;
       set_interest(loop, conn, false, conn.want_write);
       return;
     }
-    if (conn.rbuf.size() - conn.rpos >= cap) return;  // decode backlog bound
+    // Decode backlog bound; the bytes left in the kernel report next wait.
+    if (conn.rbuf.size() - conn.rpos >= cap) return;
     const std::size_t old = conn.rbuf.size();
     conn.rbuf.resize(old + options_.read_chunk);
     const ssize_t n = retry_eintr(
@@ -474,7 +403,6 @@ void Server::handle_read(Loop& loop, Connection& conn) {
       continue;
     }
     conn.rbuf.resize(old);
-    conn.read_ready = false;  // EOF/EAGAIN/error: nothing left until a new edge
     if (n == 0) {
       conn.read_closed = true;  // peer FIN; finish in-flight work, then close
       set_interest(loop, conn, false, conn.want_write);
@@ -561,7 +489,6 @@ void Server::handle_request(Loop& loop, const ConnectionPtr& conn, const Frame& 
   conn->in_flight.fetch_add(1, std::memory_order_relaxed);
   serve::ServiceStats* stats = &stats_;
   const std::shared_ptr<Mailbox> mailbox = conn->mailbox;
-  mailbox->outstanding.fetch_add(1, std::memory_order_relaxed);
   // The callback snapshots the peer's dialect at submit time: wire_version
   // is loop-thread-owned, so a worker thread must not read it later.
   const std::uint8_t version = conn->wire_version;
@@ -588,7 +515,6 @@ void Server::handle_request(Loop& loop, const ConnectionPtr& conn, const Frame& 
         const auto t1 = std::chrono::steady_clock::now();
         stats->record_wire_latency(endpoint, elapsed_us(t0, t1));
         conn->in_flight.fetch_sub(1, std::memory_order_release);
-        mailbox->outstanding.fetch_sub(1, std::memory_order_relaxed);
         // Post after the decrement: the mailbox mutex publishes it, so the
         // loop's close check on this very wakeup already sees it.
         if (need_post) mailbox->post(conn);
@@ -596,9 +522,8 @@ void Server::handle_request(Loop& loop, const ConnectionPtr& conn, const Frame& 
   if (admitted != serve::Status::kOk) {
     // Not admitted — the callback will never fire. Answer inline with the
     // admission verdict (Overloaded / ShuttingDown).
-    // Same-thread undo of the increments above; nothing to publish.
+    // Same-thread undo of the increment above; nothing to publish.
     conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
-    mailbox->outstanding.fetch_sub(1, std::memory_order_relaxed);
     serve::Response response;
     response.status = admitted;
     queue_response(loop, *conn, id, endpoint, response, tenant);
@@ -652,9 +577,9 @@ void Server::flush(Loop& loop, Connection& conn) {
     conn.obuf_bytes.store(0, std::memory_order_relaxed);
     return;
   }
-  // Parked on a previous EAGAIN: only a writability edge can clear it, and
-  // its dispatch re-queues the flush. Skipping the speculative send here is
-  // what makes edge-triggered write handling syscall-free while blocked.
+  // Parked on a previous EAGAIN: POLLOUT interest is on, and its dispatch
+  // re-queues the flush. Skipping the speculative send keeps a blocked
+  // connection syscall-free until the socket drains.
   if (!conn.write_ready) return;
   std::size_t syscalls = 0;
   bool hit_eagain = false;
@@ -670,9 +595,8 @@ void Server::flush(Loop& loop, Connection& conn) {
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Partial write: remember unwritability until the poller reports the
-      // socket drained (EPOLLOUT edge / POLLOUT level), then resume from
-      // opos. The level-triggered backend needs the interest bit flipped on.
+      // Partial write: park until poll reports POLLOUT, then resume from
+      // opos.
       conn.write_ready = false;
       hit_eagain = true;
       set_interest(loop, conn, conn.want_read, true);
@@ -700,16 +624,10 @@ void Server::flush(Loop& loop, Connection& conn) {
   if (syscalls > 0) stats_.record_wire_flush(frames_flushed, syscalls, hit_eagain);
   if (conn.read_paused &&
       conn.obuf_bytes.load(std::memory_order_relaxed) <= options_.max_output_buffer / 2) {
-    // The slow reader caught up: resume reads (and re-queue the edge-trigger
-    // memory — no fresh edge will announce bytes we already left behind).
+    // The slow reader caught up: resume reads. The bytes left in the kernel
+    // report on the next wait.
     conn.read_paused = false;
-    if (!conn.read_closed && !conn.fatal) {
-      set_interest(loop, conn, true, conn.want_write);
-      if (conn.read_ready && !conn.in_read_set) {
-        conn.in_read_set = true;
-        loop.read_set.push_back(conn.shared_from_this());
-      }
-    }
+    if (!conn.read_closed && !conn.fatal) set_interest(loop, conn, true, conn.want_write);
   }
 }
 
@@ -717,7 +635,7 @@ void Server::set_interest(Loop& loop, Connection& conn, bool want_read, bool wan
   if (conn.want_read == want_read && conn.want_write == want_write) return;
   conn.want_read = want_read;
   conn.want_write = want_write;
-  loop.poller->mod(conn.fd, want_read, want_write);
+  loop.poller.mod(conn.fd, want_read, want_write);
 }
 
 bool Server::idle(Connection& conn) const {
@@ -743,7 +661,7 @@ bool Server::should_close(Connection& conn) const {
 
 void Server::close_connection(Loop& loop, Connection& conn) {
   if (conn.fd >= 0) {
-    loop.poller->del(conn.fd);  // before close(): a poll() set keeps raw fds
+    loop.poller.del(conn.fd);  // before close(): a poll() set keeps raw fds
     ::close(conn.fd);
     conn.fd = -1;
     stats_.record_connection_close();

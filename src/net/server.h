@@ -3,10 +3,10 @@
 // multi-threaded TCP server speaking the length-prefixed binary protocol of
 // net/wire.h.
 //
-//   * IO readiness comes from a net::EventPoller — edge-triggered epoll on
-//     Linux, a persistent level-triggered poll() set as the portable
-//     fallback (ServerOptions::io_backend). Every fd registers once; a loop
-//     pass touches only ready connections, never the whole set.
+//   * IO readiness comes from one level-triggered net::PollPoller per loop:
+//     a persistent poll() set where every fd registers once and only its
+//     interest mask changes. A loop pass touches only the connections the
+//     wait reported ready, never the whole set.
 //   * Non-blocking sockets throughout; each connection is owned by exactly
 //     one IO loop thread (round-robin assignment at accept), so read-side
 //     state needs no locks. Loop 0 doubles as the acceptor.
@@ -18,10 +18,8 @@
 //     the owning loop's mailbox — the loop never blocks on a future.
 //   * Write coalescing: every response completed by the time a pass flushes
 //     sits in the connection's output buffer already, so one send() carries
-//     them all; an edge-triggered loop additionally runs bounded zero-timeout
-//     "absorb" rounds before flushing to merge completions that landed while
-//     the pass ran. Flush batch sizes and syscall counts fold into
-//     ServiceStats' wire table.
+//     them all. Flush batch sizes and syscall counts fold into ServiceStats'
+//     wire table.
 //   * Backpressure maps to the wire, not to TCP stalls: a full service queue
 //     or a full per-connection pipeline answers with a typed kOverloaded
 //     response immediately; the socket keeps draining. The reverse direction
@@ -87,23 +85,11 @@ struct ServerOptions {
   /// releases the connection immediately — the grace only bounds how long a
   /// silent, healthy peer can hold up stop().
   std::chrono::milliseconds drain_grace{250};
-  /// Readiness engine for the IO loops (default_io_backend() is epoll on
-  /// Linux, poll elsewhere). start() fails if the build cannot serve it.
-  IoBackend io_backend = default_io_backend();
   /// Per-connection output high-water mark: once this many bytes of
   /// responses sit unflushed (the peer is not reading), the server stops
   /// reading from that connection until the backlog drains below half.
   /// Backpressure lands on the slow reader's TCP window, not server memory.
   std::size_t max_output_buffer = 1 << 20;
-  /// Edge-triggered loops only: after the read stage, up to this many
-  /// zero-timeout re-waits (each preceded by a yield while completions are
-  /// outstanding) absorb responses that finished while the pass ran, so the
-  /// per-connection flush carries them all in one send(). 0 disables.
-  /// Level-triggered poll keeps the plain one-flush-per-pass behavior — a
-  /// zero-timeout re-wait there re-scans and re-reports every registered
-  /// fd, which is exactly the O(connections) cost this backend is the
-  /// fallback for.
-  std::size_t flush_absorb_rounds = 4;
   /// When > 0, pins SO_SNDBUF on the listener (inherited by every accepted
   /// connection), which also disables kernel send-buffer autotuning. 0 keeps
   /// the kernel default. Mainly a test/diagnostic hook: a small pinned
@@ -121,8 +107,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and spawns the IO loops. False on socket errors or an
-  /// unavailable io_backend (see last_error()). Idempotent.
+  /// Binds, listens, and spawns the IO loops. False on socket errors (see
+  /// last_error()). Idempotent.
   bool start();
   /// Graceful drain: answer everything already on the wire (including
   /// connections still in the accept backlog), flush, close, join.
@@ -145,16 +131,13 @@ class Server {
   using ConnectionPtr = std::shared_ptr<Connection>;
 
   /// Completion handoff between service workers and an IO loop: `dirty`
-  /// names connections with freshly appended output, the waker rouses the
-  /// loop, and `outstanding` counts the loop's submitted-but-unanswered
-  /// requests (advisory — it steers the absorb stage). Ref-counted because
-  /// a worker mid-callback can outlive stop() by a few instructions and
-  /// must still find live fds and buffers.
+  /// names connections with freshly appended output and the waker rouses
+  /// the loop. Ref-counted because a worker mid-callback can outlive stop()
+  /// by a few instructions and must still find live fds and buffers.
   struct Mailbox {
     Waker waker;
     rafiki::Mutex mutex;
     std::vector<ConnectionPtr> dirty GUARDED_BY(mutex);
-    std::atomic<std::size_t> outstanding{0};
     void post(ConnectionPtr conn);
   };
 
@@ -171,15 +154,12 @@ class Server {
     /// (loop-thread only). Responses and error frames are encoded in the
     /// peer's own dialect, so a v1 client never receives a 24-byte header.
     std::uint8_t wire_version = kProtocolVersion;
-    /// Edge-trigger memory: readiness reported by the poller persists here
-    /// until the matching syscall says EAGAIN (see poller.h contract).
-    bool read_ready = true;
+    /// False from a send() EAGAIN until poll reports POLLOUT: flushes park
+    /// instead of retrying a full socket.
     bool write_ready = true;
     /// Output high-water reached — reads throttled until flush() resumes.
     bool read_paused = false;
-    bool in_read_set = false;  ///< member of the loop's pending-read list
-    /// Level-triggered interest currently registered with the poller
-    /// (ignored by the edge-triggered backend, which subscribes once).
+    /// Interest mask currently registered with the poller.
     bool want_read = true;
     bool want_write = false;
     std::size_t conn_index = 0;  ///< slot in the owning loop's conns vector
@@ -208,17 +188,16 @@ class Server {
 
   struct Loop {
     std::shared_ptr<Mailbox> mailbox;
-    std::unique_ptr<EventPoller> poller;  ///< loop-thread after start()
+    PollPoller poller;  ///< loop-thread after start()
     rafiki::Mutex incoming_mutex;
     /// Handoff from the acceptor.
     std::vector<ConnectionPtr> incoming GUARDED_BY(incoming_mutex);
     // --- loop-thread only ---
     std::vector<ConnectionPtr> conns;
-    /// Connections with believed-unread socket data (edge-trigger memory
-    /// plus leftovers bounded away by the rbuf cap); persists across passes.
+    /// Connections the wait reported readable this pass.
     std::vector<ConnectionPtr> read_set;
     /// Connections with output to flush this pass (mailbox grabs, inline
-    /// responses, EPOLLOUT resumptions); drained every pass.
+    /// responses, POLLOUT resumptions); drained every pass.
     std::vector<ConnectionPtr> flush_set;
     std::vector<ConnectionPtr> grabbed;  ///< mailbox swap scratch
     std::vector<PollerEvent> events;     ///< wait() scratch
@@ -227,21 +206,18 @@ class Server {
 
   void loop_main(std::size_t index);
   void adopt_incoming(Loop& loop);
-  /// Registers a freshly accepted/adopted connection with the loop's poller
-  /// and queues its first read. Closes it on registration failure.
+  /// Registers a freshly accepted/adopted connection with the loop's poller.
+  /// Closes it on registration failure.
   void register_conn(Loop& loop, ConnectionPtr conn);
   void do_accept(Loop& loop);
-  /// Turns loop.events into connection state (edge-trigger flags, read/flush
-  /// queue membership) and drains the waker. True if the listener fired.
+  /// Turns loop.events into this pass's read/flush lists and drains the
+  /// waker. True if the listener fired.
   bool dispatch_events(Loop& loop);
   /// Moves mailbox.dirty into loop.flush_set.
   void grab_mailbox(Loop& loop);
-  /// Reads + decodes + submits for every connection in read_set; retains
-  /// entries that still have believed-unread data.
+  /// Reads + decodes + submits for every connection in read_set, then
+  /// clears it.
   void read_pass(Loop& loop);
-  /// Edge-triggered only: bounded zero-timeout re-waits that merge
-  /// completions landing mid-pass into this pass's flushes.
-  void absorb_completions(Loop& loop, bool acceptor);
   /// Flushes and clears flush_set, closing connections that finished.
   void flush_pass(Loop& loop);
   /// The draining pass's full sweep: answer racing bytes, flush, and close
@@ -258,8 +234,7 @@ class Server {
   void queue_error(Loop& loop, Connection& conn, std::uint64_t request_id,
                    WireError error, serve::TenantId tenant = 0);
   void flush(Loop& loop, Connection& conn);
-  /// Updates the level-triggered interest mask if it changed (no-op syscall-
-  /// wise under epoll).
+  /// Updates the poll interest mask if it changed.
   void set_interest(Loop& loop, Connection& conn, bool want_read, bool want_write);
   /// No pending work in either direction and the peer is still healthy —
   /// the draining loop's criterion for letting a connection go.

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <utility>
 
 #include "serve/snapshot.h"
 #include "serve/stats.h"
@@ -58,10 +59,6 @@ class TuningBackend {
   /// snapshot registry. Call before start().
   virtual void attach_tuner(core::OnlineTuner& tuner) = 0;
 
-  /// Asynchronous submission. Admission control resolves immediately: the
-  /// returned future is already satisfied with Overloaded / ShuttingDown
-  /// when the request was not admitted.
-  virtual std::future<Response> submit(Request request) = 0;
   /// Callback-style submission for event-loop callers (the net::Server) that
   /// must not block on a future. Returns kOk when the request was admitted —
   /// `done` then fires exactly once with the response — or the admission
@@ -95,6 +92,22 @@ class TuningBackend {
   /// benches use to observe the post-republish state.
   virtual void wait_retrain_idle() = 0;
 
+  /// Future-style submission over try_submit. Admission control resolves
+  /// immediately: the returned future is already satisfied with the verdict
+  /// (Overloaded / ShuttingDown) when the request was not admitted.
+  std::future<Response> submit(Request request) {
+    auto promise = std::make_shared<std::promise<Response>>();
+    auto future = promise->get_future();
+    const Status admitted = try_submit(
+        std::move(request),
+        [promise](Response response) { promise->set_value(std::move(response)); });
+    if (admitted != Status::kOk) {
+      Response response;
+      response.status = admitted;
+      promise->set_value(std::move(response));
+    }
+    return future;
+  }
   /// Synchronous convenience wrapper: submit + wait.
   Response call(const Request& request) { return submit(request).get(); }
 };

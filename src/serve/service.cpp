@@ -175,20 +175,6 @@ Status TuningService::offer(const Request& request, ResponseCallback& done) {
   return Status::kOk;
 }
 
-std::future<Response> TuningService::submit(Request request) {
-  auto promise = std::make_shared<std::promise<Response>>();
-  auto future = promise->get_future();
-  const Status admitted = try_submit(
-      std::move(request),
-      [promise](Response response) { promise->set_value(std::move(response)); });
-  if (admitted != Status::kOk) {
-    Response response;
-    response.status = admitted;
-    promise->set_value(std::move(response));
-  }
-  return future;
-}
-
 Status TuningService::try_submit(Request request, ResponseCallback done) {
   return offer(request, done);
 }

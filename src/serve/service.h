@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <thread>
@@ -161,8 +160,7 @@ class TuningService : public TuningBackend {
   void publish_tuned(TenantId tenant, int bucket, const engine::Config& config,
                      double predicted);
 
-  /// See TuningBackend::submit / try_submit.
-  std::future<Response> submit(Request request) override;
+  /// See TuningBackend::try_submit.
   Status try_submit(Request request, ResponseCallback done) override;
 
   /// Spill-friendly admission: moves `done` into the queue ONLY on kOk. On

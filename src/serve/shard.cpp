@@ -194,19 +194,6 @@ Status ShardedTuningService::try_submit(Request request, ResponseCallback done) 
   return verdict;
 }
 
-std::future<Response> ShardedTuningService::submit(Request request) {
-  auto promise = std::make_shared<std::promise<Response>>();
-  auto future = promise->get_future();
-  const Status admitted =
-      try_submit(request, [promise](Response response) { promise->set_value(std::move(response)); });
-  if (admitted != Status::kOk) {
-    Response response;
-    response.status = admitted;
-    promise->set_value(response);
-  }
-  return future;
-}
-
 void ShardedTuningService::start() {
   for (auto& shard : shards_) shard->start();
   if (options_.rebalance_interval.count() > 0) {

@@ -148,7 +148,6 @@ class ShardedTuningService : public TuningBackend {
   void publish_tuned(TenantId tenant, int bucket, const engine::Config& config,
                      double predicted);
 
-  std::future<Response> submit(Request request) override;
   Status try_submit(Request request, ResponseCallback done) override;
 
   void start() override;

@@ -52,23 +52,6 @@ void TenantFleet::attach_tuner(core::OnlineTuner& tuner) {
   router_.attach_tenant_tuner(0, tuner);
 }
 
-std::future<serve::Response> TenantFleet::submit(serve::Request request) {
-  // Future-style submission through the same admission path as try_submit:
-  // a shared promise is fulfilled by the wrapped callback, or inline with
-  // the admission verdict.
-  auto promise = std::make_shared<std::promise<serve::Response>>();
-  auto future = promise->get_future();
-  const serve::Status admitted = try_submit(
-      std::move(request),
-      [promise](serve::Response response) { promise->set_value(std::move(response)); });
-  if (admitted != serve::Status::kOk) {
-    serve::Response response;
-    response.status = admitted;
-    promise->set_value(std::move(response));
-  }
-  return future;
-}
-
 serve::Status TenantFleet::try_submit(serve::Request request,
                                       serve::ResponseCallback done) {
   TenantState* state = registry_.find(request.tenant);

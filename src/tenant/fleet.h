@@ -33,7 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 
 #include "core/online.h"
@@ -84,7 +83,6 @@ class TenantFleet : public serve::TuningBackend {
   /// pre-fleet surface. Fleets with real tenants use attach_rafiki.
   void attach_tuner(core::OnlineTuner& tuner) override;
 
-  std::future<serve::Response> submit(serve::Request request) override;
   /// Fleet admission, then the router. Extends the backend's admission
   /// verdict set with kNotReady for a tenant id outside the fleet (the
   /// net::Server already answers any non-kOk verdict inline as a typed

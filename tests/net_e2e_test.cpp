@@ -36,10 +36,8 @@ namespace rafiki::net {
 namespace {
 
 // One tiny trained pipeline shared by every test; training dominates the
-// suite's cost and all tests only read from it. The whole suite runs once per
-// available IO backend (epoll and the poll() fallback on Linux) so the drain
-// and pipelining contracts are proven against both event loops.
-class NetE2E : public ::testing::TestWithParam<IoBackend> {
+// suite's cost and all tests only read from it.
+class NetE2E : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     core::RafikiOptions options;
@@ -60,14 +58,6 @@ class NetE2E : public ::testing::TestWithParam<IoBackend> {
   static void TearDownTestSuite() {
     delete rafiki_;
     rafiki_ = nullptr;
-  }
-
-  /// Server options pinned to the backend under test; tests layer their own
-  /// tweaks (io_threads, max_pipeline, ...) on top.
-  ServerOptions server_options() const {
-    ServerOptions options;
-    options.io_backend = GetParam();
-    return options;
   }
 
   static serve::Request predict_request(double read_ratio = 0.3) {
@@ -92,13 +82,13 @@ class NetE2E : public ::testing::TestWithParam<IoBackend> {
 
 core::Rafiki* NetE2E::rafiki_ = nullptr;
 
-TEST_P(NetE2E, PredictParityWithInProcessSubmit) {
+TEST_F(NetE2E, PredictParityWithInProcessSubmit) {
   serve::ServiceOptions options;
   options.workers = 1;
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  Server server(service, server_options());
+  Server server(service);
   ASSERT_TRUE(server.start()) << server.last_error();
   ASSERT_NE(server.port(), 0);
 
@@ -136,7 +126,7 @@ TEST_P(NetE2E, PredictParityWithInProcessSubmit) {
   service.stop();
 }
 
-TEST_P(NetE2E, OptimizeParityWithInProcessSubmit) {
+TEST_F(NetE2E, OptimizeParityWithInProcessSubmit) {
   serve::ServiceOptions options;
   options.workers = 1;
   options.ga.population = 10;
@@ -144,7 +134,7 @@ TEST_P(NetE2E, OptimizeParityWithInProcessSubmit) {
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  Server server(service, server_options());
+  Server server(service);
   ASSERT_TRUE(server.start()) << server.last_error();
 
   Client client;
@@ -170,7 +160,7 @@ TEST_P(NetE2E, OptimizeParityWithInProcessSubmit) {
   service.stop();
 }
 
-TEST_P(NetE2E, ObserveWindowParityThroughRetrainCycle) {
+TEST_F(NetE2E, ObserveWindowParityThroughRetrainCycle) {
   serve::ServiceOptions options;
   options.workers = 1;
   core::OnlineTuner tuner(*rafiki_);
@@ -178,7 +168,7 @@ TEST_P(NetE2E, ObserveWindowParityThroughRetrainCycle) {
   service.publish(serve::make_snapshot(*rafiki_));
   service.attach_tuner(tuner);
   service.start();
-  Server server(service, server_options());
+  Server server(service);
   ASSERT_TRUE(server.start()) << server.last_error();
 
   Client client;
@@ -215,7 +205,7 @@ TEST_P(NetE2E, ObserveWindowParityThroughRetrainCycle) {
   service.stop();
 }
 
-TEST_P(NetE2E, PipelinedRequestsSurviveSnapshotRepublishMidStream) {
+TEST_F(NetE2E, PipelinedRequestsSurviveSnapshotRepublishMidStream) {
   constexpr std::uint64_t kPerPhase = 8;
 
   serve::ServiceOptions options;
@@ -224,7 +214,7 @@ TEST_P(NetE2E, PipelinedRequestsSurviveSnapshotRepublishMidStream) {
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  ServerOptions opts = server_options();
+  ServerOptions opts;
   opts.io_threads = 2;
   Server server(service, opts);
   ASSERT_TRUE(server.start()) << server.last_error();
@@ -272,7 +262,7 @@ TEST_P(NetE2E, PipelinedRequestsSurviveSnapshotRepublishMidStream) {
   service.stop();
 }
 
-TEST_P(NetE2E, GracefulDrainAnswersEveryInFlightFrame) {
+TEST_F(NetE2E, GracefulDrainAnswersEveryInFlightFrame) {
   constexpr std::uint64_t kInFlight = 16;
 
   serve::ServiceOptions options;
@@ -281,7 +271,7 @@ TEST_P(NetE2E, GracefulDrainAnswersEveryInFlightFrame) {
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  Server server(service, server_options());
+  Server server(service);
   ASSERT_TRUE(server.start()) << server.last_error();
   const auto port = server.port();
 
@@ -333,7 +323,7 @@ TEST_P(NetE2E, GracefulDrainAnswersEveryInFlightFrame) {
 // worst) rather than let the listener close RST it. Regression test: every
 // client below connects and fully sends *before* stop(), so every frame must
 // come back typed, accepted or not.
-TEST_P(NetE2E, DrainAdoptsConnectionsStillInTheAcceptBacklog) {
+TEST_F(NetE2E, DrainAdoptsConnectionsStillInTheAcceptBacklog) {
   constexpr std::size_t kClients = 8;
 
   serve::ServiceOptions options;
@@ -341,7 +331,7 @@ TEST_P(NetE2E, DrainAdoptsConnectionsStillInTheAcceptBacklog) {
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  Server server(service, server_options());
+  Server server(service);
   ASSERT_TRUE(server.start()) << server.last_error();
 
   std::vector<Client> fleet(kClients);
@@ -366,7 +356,7 @@ TEST_P(NetE2E, DrainAdoptsConnectionsStillInTheAcceptBacklog) {
   service.stop();
 }
 
-TEST_P(NetE2E, ServiceShutdownMapsToTypedShuttingDownResponse) {
+TEST_F(NetE2E, ServiceShutdownMapsToTypedShuttingDownResponse) {
   serve::ServiceOptions options;
   options.workers = 1;
   serve::TuningService service(options);
@@ -374,7 +364,7 @@ TEST_P(NetE2E, ServiceShutdownMapsToTypedShuttingDownResponse) {
   service.start();
   service.stop();  // service is gone; the wire front-end is still up
 
-  Server server(service, server_options());
+  Server server(service);
   ASSERT_TRUE(server.start()) << server.last_error();
   Client client;
   ASSERT_EQ(client.connect("127.0.0.1", server.port()), NetStatus::kOk);
@@ -387,13 +377,13 @@ TEST_P(NetE2E, ServiceShutdownMapsToTypedShuttingDownResponse) {
   server.stop();
 }
 
-TEST_P(NetE2E, PipelineLimitMapsToTypedOverloadedResponse) {
+TEST_F(NetE2E, PipelineLimitMapsToTypedOverloadedResponse) {
   serve::ServiceOptions options;
   options.workers = 0;  // nobody drains: the first request parks in flight
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  ServerOptions opts = server_options();
+  ServerOptions opts;
   opts.max_pipeline = 1;
   Server server(service, opts);
   ASSERT_TRUE(server.start()) << server.last_error();
@@ -421,13 +411,13 @@ TEST_P(NetE2E, PipelineLimitMapsToTypedOverloadedResponse) {
   server.stop();
 }
 
-TEST_P(NetE2E, GarbageBytesGetOneErrorFrameThenClose) {
+TEST_F(NetE2E, GarbageBytesGetOneErrorFrameThenClose) {
   serve::ServiceOptions options;
   options.workers = 1;
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  Server server(service, server_options());
+  Server server(service);
   ASSERT_TRUE(server.start()) << server.last_error();
 
   // Raw socket, no protocol: the server must answer with exactly one error
@@ -474,7 +464,7 @@ TEST_P(NetE2E, GarbageBytesGetOneErrorFrameThenClose) {
   service.stop();
 }
 
-TEST_P(NetE2E, ManyClientsAcrossIoThreads) {
+TEST_F(NetE2E, ManyClientsAcrossIoThreads) {
   constexpr int kClients = 4;
   constexpr int kCallsPerClient = 10;
 
@@ -484,7 +474,7 @@ TEST_P(NetE2E, ManyClientsAcrossIoThreads) {
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  ServerOptions opts = server_options();
+  ServerOptions opts;
   opts.io_threads = 2;
   Server server(service, opts);
   ASSERT_TRUE(server.start()) << server.last_error();
@@ -528,7 +518,7 @@ TEST_P(NetE2E, ManyClientsAcrossIoThreads) {
 // same IO loop keeps making progress, and when the slow reader finally
 // drains, every frame it managed to send comes back exactly once — partial
 // writes resumed, nothing lost, nothing duplicated.
-TEST_P(NetE2E, SlowReaderBackpressureBoundsBufferingWithoutStallingOthers) {
+TEST_F(NetE2E, SlowReaderBackpressureBoundsBufferingWithoutStallingOthers) {
   constexpr std::uint64_t kRequests = 3000;
 
   serve::ServiceOptions options;
@@ -537,7 +527,7 @@ TEST_P(NetE2E, SlowReaderBackpressureBoundsBufferingWithoutStallingOthers) {
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  ServerOptions opts = server_options();
+  ServerOptions opts;
   opts.io_threads = 1;  // slow and fast client share one loop on purpose
   opts.max_output_buffer = 1 << 14;
   opts.so_sndbuf = 4096;  // pinned small so partial writes actually happen
@@ -660,9 +650,9 @@ TEST_P(NetE2E, SlowReaderBackpressureBoundsBufferingWithoutStallingOthers) {
 
 // Satellite: every raw syscall in the server retries (or re-evaluates) on
 // EINTR. A no-SA_RESTART handler plus a process-wide signal storm makes
-// accept/recv/send/poll/epoll_wait fail with EINTR constantly; pipelined load
+// accept/recv/send/poll fail with EINTR constantly; pipelined load
 // must still come back complete with zero framing damage.
-TEST_P(NetE2E, SignalStormDuringPipelinedLoadDropsNoFrames) {
+TEST_F(NetE2E, SignalStormDuringPipelinedLoadDropsNoFrames) {
   struct sigaction action {};
   action.sa_handler = +[](int) {};
   sigemptyset(&action.sa_mask);
@@ -676,7 +666,7 @@ TEST_P(NetE2E, SignalStormDuringPipelinedLoadDropsNoFrames) {
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  ServerOptions opts = server_options();
+  ServerOptions opts;
   opts.io_threads = 2;
   Server server(service, opts);
   ASSERT_TRUE(server.start()) << server.last_error();
@@ -733,12 +723,6 @@ TEST_P(NetE2E, SignalStormDuringPipelinedLoadDropsNoFrames) {
   server.stop();
   service.stop();
 }
-
-INSTANTIATE_TEST_SUITE_P(IoBackends, NetE2E,
-                         ::testing::ValuesIn(available_io_backends()),
-                         [](const ::testing::TestParamInfo<IoBackend>& pinfo) {
-                           return std::string(io_backend_name(pinfo.param));
-                         });
 
 }  // namespace
 }  // namespace rafiki::net

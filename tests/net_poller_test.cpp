@@ -1,9 +1,8 @@
-// EventPoller unit tests: backend selection helpers, the level-triggered
-// poll() backend's incremental registration bookkeeping (slot reuse after
-// del), the epoll backend's edge-trigger semantics (one report per
-// transition, re-edge on new data, registration-time readiness), and the
-// Waker's wake-coalescing contract. These are the invariants net::Server
-// leans on; the e2e suite exercises them only indirectly.
+// PollPoller unit tests: level-triggered readiness per interest mask, the
+// incremental registration bookkeeping (slot reuse after del), hangup
+// reporting, and the Waker's wake-coalescing contract. These are the
+// invariants net::Server leans on; the e2e suite exercises them only
+// indirectly.
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -46,12 +45,6 @@ void write_byte(int fd) {
   ASSERT_EQ(::send(fd, &byte, 1, MSG_NOSIGNAL), 1);
 }
 
-void drain_fd(int fd) {
-  std::uint8_t chunk[256];
-  while (::recv(fd, chunk, sizeof chunk, 0) > 0) {
-  }
-}
-
 /// The event for `fd` out of one wait() pass, or nullptr.
 const PollerEvent* find_event(const std::vector<PollerEvent>& events, int fd) {
   for (const auto& event : events) {
@@ -60,89 +53,50 @@ const PollerEvent* find_event(const std::vector<PollerEvent>& events, int fd) {
   return nullptr;
 }
 
-TEST(IoBackendHelpers, NamesParseAndAvailability) {
-  EXPECT_STREQ(io_backend_name(IoBackend::kPoll), "poll");
-  EXPECT_STREQ(io_backend_name(IoBackend::kEpoll), "epoll");
-
-  IoBackend parsed = IoBackend::kEpoll;
-  ASSERT_TRUE(parse_io_backend("poll", parsed));
-  EXPECT_EQ(parsed, IoBackend::kPoll);
-  ASSERT_TRUE(parse_io_backend("epoll", parsed));
-  EXPECT_EQ(parsed, IoBackend::kEpoll);
-  EXPECT_FALSE(parse_io_backend("kqueue", parsed));
-  EXPECT_FALSE(parse_io_backend("", parsed));
-  EXPECT_FALSE(parse_io_backend(nullptr, parsed));
-
-  // poll() exists everywhere; the default must be constructible, and the
-  // sweep list leads with it so benches compare against the platform choice.
-  EXPECT_TRUE(io_backend_available(IoBackend::kPoll));
-  EXPECT_TRUE(io_backend_available(default_io_backend()));
-  const auto backends = available_io_backends();
-  ASSERT_FALSE(backends.empty());
-  EXPECT_EQ(backends.front(), default_io_backend());
-  for (const auto backend : backends) {
-    EXPECT_TRUE(io_backend_available(backend));
-    auto poller = EventPoller::create(backend);
-    ASSERT_NE(poller, nullptr) << io_backend_name(backend);
-    EXPECT_EQ(poller->backend(), backend);
-  }
-#ifdef __linux__
-  EXPECT_TRUE(io_backend_available(IoBackend::kEpoll));
-  EXPECT_EQ(default_io_backend(), IoBackend::kEpoll);
-#else
-  EXPECT_FALSE(io_backend_available(IoBackend::kEpoll));
-  EXPECT_EQ(default_io_backend(), IoBackend::kPoll);
-  EXPECT_EQ(EventPoller::create(IoBackend::kEpoll), nullptr);
-#endif
-}
-
 TEST(PollPoller, ReportsReadinessPerInterestMaskAndHonorsMod) {
-  auto poller = EventPoller::create(IoBackend::kPoll);
-  ASSERT_NE(poller, nullptr);
-  EXPECT_FALSE(poller->edge_triggered());
+  PollPoller poller;
 
   SocketPair pair;
   ASSERT_GE(pair.a, 0);
   int tag_a = 0;
-  ASSERT_TRUE(poller->add(pair.a, true, false, &tag_a));
+  ASSERT_TRUE(poller.add(pair.a, true, false, &tag_a));
 
   std::vector<PollerEvent> events;
-  EXPECT_EQ(poller->wait(0, events), 0u);  // nothing pending yet
+  EXPECT_EQ(poller.wait(0, events), 0u);  // nothing pending yet
 
   write_byte(pair.b);
   events.clear();
-  ASSERT_EQ(poller->wait(1000, events), 1u);
+  ASSERT_EQ(poller.wait(1000, events), 1u);
   EXPECT_EQ(events[0].fd, pair.a);
   EXPECT_EQ(events[0].data, &tag_a);
   EXPECT_TRUE(events[0].readable);
 
   // Level-triggered: unconsumed data re-reports on every wait.
   events.clear();
-  ASSERT_EQ(poller->wait(0, events), 1u);
+  ASSERT_EQ(poller.wait(0, events), 1u);
   EXPECT_TRUE(events[0].readable);
 
   // Interest mask off: pending data goes silent without being consumed.
-  ASSERT_TRUE(poller->mod(pair.a, false, false));
+  ASSERT_TRUE(poller.mod(pair.a, false, false));
   events.clear();
-  EXPECT_EQ(poller->wait(0, events), 0u);
+  EXPECT_EQ(poller.wait(0, events), 0u);
 
   // Write interest on a stream socket with buffer space: writable.
-  ASSERT_TRUE(poller->mod(pair.a, false, true));
+  ASSERT_TRUE(poller.mod(pair.a, false, true));
   events.clear();
-  ASSERT_EQ(poller->wait(0, events), 1u);
+  ASSERT_EQ(poller.wait(0, events), 1u);
   EXPECT_TRUE(events[0].writable);
   EXPECT_FALSE(events[0].readable);
 
-  ASSERT_TRUE(poller->del(pair.a));
-  EXPECT_FALSE(poller->del(pair.a));  // unknown now
-  EXPECT_FALSE(poller->mod(pair.a, true, false));
+  ASSERT_TRUE(poller.del(pair.a));
+  EXPECT_FALSE(poller.del(pair.a));  // unknown now
+  EXPECT_FALSE(poller.mod(pair.a, true, false));
   events.clear();
-  EXPECT_EQ(poller->wait(0, events), 0u);
+  EXPECT_EQ(poller.wait(0, events), 0u);
 }
 
 TEST(PollPoller, SlotReuseAfterSwapRemoveKeepsDataPointersStraight) {
-  auto poller = EventPoller::create(IoBackend::kPoll);
-  ASSERT_NE(poller, nullptr);
+  PollPoller poller;
 
   // Three registrations, delete the middle one (swap-remove moves the last
   // registration into its slot), then register a fourth: every event must
@@ -155,11 +109,11 @@ TEST(PollPoller, SlotReuseAfterSwapRemoveKeepsDataPointersStraight) {
   int tag2 = 2;
   int tag3 = 3;
   int tag4 = 4;
-  ASSERT_TRUE(poller->add(p1.a, true, false, &tag1));
-  ASSERT_TRUE(poller->add(p2.a, true, false, &tag2));
-  ASSERT_TRUE(poller->add(p3.a, true, false, &tag3));
-  ASSERT_TRUE(poller->del(p2.a));
-  ASSERT_TRUE(poller->add(p4.a, true, false, &tag4));
+  ASSERT_TRUE(poller.add(p1.a, true, false, &tag1));
+  ASSERT_TRUE(poller.add(p2.a, true, false, &tag2));
+  ASSERT_TRUE(poller.add(p3.a, true, false, &tag3));
+  ASSERT_TRUE(poller.del(p2.a));
+  ASSERT_TRUE(poller.add(p4.a, true, false, &tag4));
 
   write_byte(p1.b);
   write_byte(p2.b);  // deregistered: must not surface
@@ -167,7 +121,7 @@ TEST(PollPoller, SlotReuseAfterSwapRemoveKeepsDataPointersStraight) {
   write_byte(p4.b);
 
   std::vector<PollerEvent> events;
-  ASSERT_EQ(poller->wait(1000, events), 3u);
+  ASSERT_EQ(poller.wait(1000, events), 3u);
   EXPECT_EQ(find_event(events, p2.a), nullptr);
   const auto* e1 = find_event(events, p1.a);
   const auto* e3 = find_event(events, p3.a);
@@ -181,116 +135,21 @@ TEST(PollPoller, SlotReuseAfterSwapRemoveKeepsDataPointersStraight) {
 }
 
 TEST(PollPoller, ReportsHangupWhenPeerCloses) {
-  auto poller = EventPoller::create(IoBackend::kPoll);
-  ASSERT_NE(poller, nullptr);
+  PollPoller poller;
 
   SocketPair pair;
   int tag = 0;
-  ASSERT_TRUE(poller->add(pair.a, true, false, &tag));
+  ASSERT_TRUE(poller.add(pair.a, true, false, &tag));
   pair.close_b();
 
   std::vector<PollerEvent> events;
-  ASSERT_GE(poller->wait(1000, events), 1u);
+  ASSERT_GE(poller.wait(1000, events), 1u);
   const auto* event = find_event(events, pair.a);
   ASSERT_NE(event, nullptr);
   // POLLHUP (hangup) and/or POLLIN-for-EOF; either way the consumer's next
   // recv() sees the FIN. All that matters is that *something* is reported.
   EXPECT_TRUE(event->hangup || event->readable);
 }
-
-#ifdef __linux__
-TEST(EpollPoller, ReportsOncePerTransitionAndReEdgesOnNewData) {
-  auto poller = EventPoller::create(IoBackend::kEpoll);
-  ASSERT_NE(poller, nullptr);
-  EXPECT_TRUE(poller->edge_triggered());
-
-  SocketPair pair;
-  int tag = 0;
-  ASSERT_TRUE(poller->add(pair.a, true, false, &tag));
-
-  // Registration-time readiness: the fd was writable before add(), so the
-  // first wait reports the pre-existing state exactly once...
-  std::vector<PollerEvent> events;
-  ASSERT_EQ(poller->wait(1000, events), 1u);
-  EXPECT_EQ(events[0].data, &tag);
-  EXPECT_TRUE(events[0].writable);
-  EXPECT_FALSE(events[0].readable);
-  // ...and edge triggering means no transition -> no report, forever.
-  events.clear();
-  EXPECT_EQ(poller->wait(0, events), 0u);
-
-  // New data is a read transition: reported once, then silent again even
-  // though the byte stays unconsumed (this is why the server must keep its
-  // own read-ready flag until recv() says EAGAIN).
-  write_byte(pair.b);
-  events.clear();
-  ASSERT_EQ(poller->wait(1000, events), 1u);
-  EXPECT_TRUE(events[0].readable);
-  events.clear();
-  EXPECT_EQ(poller->wait(0, events), 0u);
-
-  // More data re-edges even with the old byte still buffered...
-  write_byte(pair.b);
-  events.clear();
-  ASSERT_EQ(poller->wait(1000, events), 1u);
-  EXPECT_TRUE(events[0].readable);
-
-  // ...and a drained buffer plus fresh data is a clean new transition.
-  drain_fd(pair.a);
-  events.clear();
-  EXPECT_EQ(poller->wait(0, events), 0u);
-  write_byte(pair.b);
-  events.clear();
-  ASSERT_EQ(poller->wait(1000, events), 1u);
-  EXPECT_TRUE(events[0].readable);
-
-  ASSERT_TRUE(poller->del(pair.a));
-  EXPECT_FALSE(poller->del(pair.a));
-  drain_fd(pair.a);
-  write_byte(pair.b);
-  events.clear();
-  EXPECT_EQ(poller->wait(0, events), 0u);  // deregistered fds stay silent
-}
-
-TEST(EpollPoller, ModIsAcceptedAsANoOpOnRegisteredFds) {
-  auto poller = EventPoller::create(IoBackend::kEpoll);
-  ASSERT_NE(poller, nullptr);
-
-  SocketPair pair;
-  int tag = 0;
-  ASSERT_TRUE(poller->add(pair.a, true, false, &tag));
-  // The edge-triggered backend subscribes to both directions up front; the
-  // server still calls mod() symmetrically with the poll backend, and those
-  // calls must succeed without disturbing the registration.
-  EXPECT_TRUE(poller->mod(pair.a, false, false));
-  EXPECT_TRUE(poller->mod(pair.a, true, true));
-
-  write_byte(pair.b);
-  std::vector<PollerEvent> events;
-  ASSERT_GE(poller->wait(1000, events), 1u);
-  const auto* event = find_event(events, pair.a);
-  ASSERT_NE(event, nullptr);
-  EXPECT_TRUE(event->readable);
-}
-
-TEST(EpollPoller, ReportsHangupWhenPeerCloses) {
-  auto poller = EventPoller::create(IoBackend::kEpoll);
-  ASSERT_NE(poller, nullptr);
-
-  SocketPair pair;
-  int tag = 0;
-  ASSERT_TRUE(poller->add(pair.a, true, false, &tag));
-  std::vector<PollerEvent> events;
-  poller->wait(0, events);  // consume the registration-time writable edge
-
-  pair.close_b();
-  events.clear();
-  ASSERT_GE(poller->wait(1000, events), 1u);
-  const auto* event = find_event(events, pair.a);
-  ASSERT_NE(event, nullptr);
-  EXPECT_TRUE(event->hangup || event->readable);
-}
-#endif  // __linux__
 
 TEST(WakerTest, CoalescesWakesUntilDrainedThenReRings) {
   Waker waker;

@@ -6,11 +6,10 @@
 //
 //   rafiki_serverd [--port P] [--host H] [--io-threads N] [--workers N]
 //                  [--shards N] [--tenants N] [--worker-budget N]
-//                  [--io-backend poll|epoll] [--pin-shards] [--full]
+//                  [--pin-shards] [--full]
 //
-// --io-backend pins the IO loops' readiness engine (default: edge-triggered
-// epoll on Linux, the portable poll() fallback elsewhere); the drain report
-// names the backend that actually served.
+// Each of the --io-threads IO loops waits on one level-triggered poll() set;
+// the drain report shows how those loops batched their flushes.
 //
 // --shards N (N > 1) serves through the ShardedTuningService router —
 // per-(tenant, read-ratio-band) shards, each with its own queue/workers/
@@ -64,7 +63,6 @@ int main(int argc, char** argv) {
   std::size_t shards = 1;
   std::size_t tenants = 1;
   std::size_t worker_budget = 0;
-  net::IoBackend io_backend = net::default_io_backend();
   bool pin_shards = false;
   bool full = false;
   for (int i = 1; i < argc; ++i) {
@@ -83,16 +81,6 @@ int main(int argc, char** argv) {
       tenants = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (arg == "--worker-budget" && i + 1 < argc) {
       worker_budget = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--io-backend" && i + 1 < argc) {
-      if (!net::parse_io_backend(argv[++i], io_backend)) {
-        std::fprintf(stderr, "unknown io backend '%s' (poll|epoll)\n", argv[i]);
-        return 2;
-      }
-      if (!net::io_backend_available(io_backend)) {
-        std::fprintf(stderr, "io backend '%s' is unavailable on this platform\n",
-                     net::io_backend_name(io_backend));
-        return 2;
-      }
     } else if (arg == "--pin-shards") {
       pin_shards = true;
     } else if (arg == "--full") {
@@ -101,8 +89,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--host H] [--port P] [--io-threads N] "
                    "[--workers N] [--shards N] [--tenants N] "
-                   "[--worker-budget N] [--io-backend poll|epoll] "
-                   "[--pin-shards] [--full]\n",
+                   "[--worker-budget N] [--pin-shards] [--full]\n",
                    argv[0]);
       return 2;
     }
@@ -166,7 +153,6 @@ int main(int argc, char** argv) {
   server_options.host = host;
   server_options.port = static_cast<std::uint16_t>(port);
   server_options.io_threads = io_threads;
-  server_options.io_backend = io_backend;
   net::Server server(service, server_options);
   if (!server.start()) {
     std::fprintf(stderr, "server start failed: %s\n", server.last_error().c_str());
@@ -184,12 +170,11 @@ int main(int argc, char** argv) {
   sigaction(SIGINT, &sa, nullptr);
   sigaction(SIGTERM, &sa, nullptr);
 
-  std::printf("serving on %s:%u (model version %llu, %zu shard%s, %zu tenant%s, "
-              "%s io backend); close stdin or SIGINT/SIGTERM to stop\n",
+  std::printf("serving on %s:%u (model version %llu, %zu shard%s, %zu tenant%s); "
+              "close stdin or SIGINT/SIGTERM to stop\n",
               host.c_str(), server.port(),
               static_cast<unsigned long long>(service.model_version()), shards,
-              shards == 1 ? "" : "s", tenants, tenants == 1 ? "" : "s",
-              net::io_backend_name(io_backend));
+              shards == 1 ? "" : "s", tenants, tenants == 1 ? "" : "s");
   std::fflush(stdout);
 
   // Serve until stdin closes — works interactively (Ctrl-D), under a pipe,
@@ -221,10 +206,9 @@ int main(int argc, char** argv) {
                                               before.connections_closed),
               static_cast<unsigned long long>(after.frames_in),
               static_cast<unsigned long long>(after.frames_out));
-  std::printf("io backend %s: %llu flush(es), %llu flush syscall(s), "
+  std::printf("io loops: %llu flush(es), %llu flush syscall(s), "
               "%.2f frame(s)/flush, %.4f syscall(s)/frame, %llu EAGAIN "
               "partial write(s)\n",
-              net::io_backend_name(io_backend),
               static_cast<unsigned long long>(after.flushes),
               static_cast<unsigned long long>(after.flush_syscalls),
               after.frames_per_flush(), after.flush_syscalls_per_frame(),
