@@ -54,6 +54,9 @@ struct RegimeResult {
   double predicted = 0.0;  ///< surrogate's claim for the same config
   std::size_t evaluations = 0;
   std::size_t evals_to_quality = 0;  ///< evals until the shared quality target
+  /// Whether the search ever reached that target; when not, evals_to_quality
+  /// holds the full evaluation budget (the charge the mean uses).
+  bool reached = false;
   std::vector<double> history;              ///< best predicted per GA generation
   std::vector<engine::Config> config_history;  ///< best config per generation
 };
@@ -142,22 +145,26 @@ class TrueThroughput {
   std::map<std::string, double> memo_;
 };
 
+struct Reach {
+  std::size_t evals = 0;
+  bool reached = false;
+};
+
 /// Surrogate evaluations until the search's best-so-far config FIRST reached
-/// `target` true throughput; charges the full budget when it never did. This
-/// races arms on ground truth (the simulated engine), not on their own
-/// surrogates' opinions, so arms with different feature spaces compare
-/// fairly.
-std::size_t evals_to_reach(const opt::GaOptions& ga, const RegimeResult& regime,
-                           double target, TrueThroughput& truth, std::uint64_t salt) {
+/// `target` true throughput; when it never did, reports the full budget with
+/// `reached` false. This races arms on ground truth (the simulated engine),
+/// not on their own surrogates' opinions, so arms with different feature
+/// spaces compare fairly.
+Reach evals_to_reach(const opt::GaOptions& ga, const RegimeResult& regime, double target,
+                     TrueThroughput& truth, std::uint64_t salt) {
   for (std::size_t g = 0; g < regime.config_history.size(); ++g) {
     if (g < regime.history.size() && std::isinf(regime.history[g])) continue;
     if (truth.at(regime.config_history[g], regime.rr, salt) >= target) {
-      return evals_at(ga, g);
+      return {evals_at(ga, g), true};
     }
   }
-  return regime.config_history.empty()
-             ? 0
-             : evals_at(ga, regime.config_history.size() - 1);
+  return {regime.config_history.empty() ? 0 : evals_at(ga, regime.config_history.size() - 1),
+          false};
 }
 
 /// The regime read-ratios Phase A tunes: one per MG-RAST regime band.
@@ -288,9 +295,11 @@ void write_json(const std::string& path, const std::vector<ArmResult>& arms,
       const auto& regime = arm.regimes[r];
       std::fprintf(out,
                    "       {\"rr\": %.2f, \"tuned_tput\": %.1f, \"predicted\": %.1f, "
-                   "\"ga_evaluations\": %zu, \"evals_to_quality\": %zu}%s\n",
+                   "\"ga_evaluations\": %zu, \"evals_to_quality\": %zu, "
+                   "\"reached\": %s}%s\n",
                    regime.rr, regime.measured, regime.predicted, regime.evaluations,
-                   regime.evals_to_quality, r + 1 < arm.regimes.size() ? "," : "");
+                   regime.evals_to_quality, regime.reached ? "true" : "false",
+                   r + 1 < arm.regimes.size() ? "," : "");
     }
     std::fprintf(out, "     ],\n");
     std::fprintf(out,
@@ -355,15 +364,18 @@ int main(int argc, char** argv) {
   // is 99% of the fixed5 baseline's tuned (measured) throughput, and each
   // arm's convergence trace is re-measured on the simulated engine to find
   // when its best-so-far config first reached that bar. An arm that never
-  // reaches it is charged its full evaluation budget.
+  // reaches it is charged its full evaluation budget in the mean, and the
+  // regime is reported as not reached (JSON "reached": false, and a count in
+  // the table) so the charge is never silent.
   const opt::GaOptions ga = arm_options(smoke).ga;
   auto finalize = [&ga, &truth](ArmResult& arm, const ArmResult& baseline) {
     arm.mean_evals_to_quality = 0.0;
     for (std::size_t r = 0; r < arm.regimes.size(); ++r) {
       const double target = 0.99 * baseline.regimes[r].measured;
       const auto salt = static_cast<std::uint64_t>(arm.regimes[r].rr * 10);
-      arm.regimes[r].evals_to_quality =
-          evals_to_reach(ga, arm.regimes[r], target, truth, salt);
+      const Reach reach = evals_to_reach(ga, arm.regimes[r], target, truth, salt);
+      arm.regimes[r].evals_to_quality = reach.evals;
+      arm.regimes[r].reached = reach.reached;
       arm.mean_evals_to_quality += static_cast<double>(arm.regimes[r].evals_to_quality);
     }
     arm.mean_evals_to_quality /= static_cast<double>(arm.regimes.size());
@@ -383,9 +395,15 @@ int main(int argc, char** argv) {
   Table table({"arm", "genome dims", "tuned tput (true)", "evals to 99%",
                "replay tput", "recut changes"});
   for (const auto& arm : arms) {
+    const auto unreached = std::count_if(arm.regimes.begin(), arm.regimes.end(),
+                                         [](const RegimeResult& r) { return !r.reached; });
+    std::string evals = Table::num(arm.mean_evals_to_quality, 0);
+    if (unreached > 0) {
+      evals += " (" + std::to_string(unreached) + " of " + std::to_string(arm.regimes.size()) +
+               " not reached)";
+    }
     table.add_row({arm.name, std::to_string(arm.genome_dims),
-                   Table::ops(arm.mean_measured),
-                   Table::num(arm.mean_evals_to_quality, 0),
+                   Table::ops(arm.mean_measured), evals,
                    Table::ops(arm.replay_mean_tput), std::to_string(arm.tune.changes)});
   }
   benchutil::emit(table, "Knob-selection ablation (regime-switching workload)");

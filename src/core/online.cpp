@@ -118,34 +118,36 @@ bool OnlineTuner::run_optimize(double read_ratio) {
 }
 
 void OnlineTuner::prefetch(double read_ratio) {
-  AsyncOptimizeHook async;
   {
     MutexLock lock(mutex_);
     if (cache_.count(bucket_for(read_ratio)) != 0) return;
-    async = async_optimize_;
+    if (async_optimize_) {
+      // Under the lock, like on_window's hand-off: see there.
+      async_optimize_(bucket_for(read_ratio), read_ratio);
+      return;
+    }
   }
-  if (async) {
-    async(bucket_for(read_ratio), read_ratio);
-  } else {
-    run_optimize(read_ratio);
-  }
+  run_optimize(read_ratio);
 }
 
 OnlineTuner::Decision OnlineTuner::on_window(double read_ratio) {
   Decision decision;
-  AsyncOptimizeHook async;
   {
     MutexLock lock(mutex_);
     decision = decide_locked(read_ratio);
     if (!decision.stale) return decision;
-    async = async_optimize_;
-  }
-  if (async) {
-    // Stale-while-revalidate: hand the miss to the background worker (hook
-    // invoked with no tuner lock held) and answer with the current config
-    // immediately.
-    async(bucket_for(read_ratio), read_ratio);
-    return decision;
+    if (async_optimize_) {
+      // Stale-while-revalidate: hand the miss to the background worker and
+      // answer with the current config immediately. The hand-off happens
+      // under the tuner lock, so it cannot fall between the worker's memo
+      // write (taken under this lock) and the worker retiring the bucket's
+      // pending task (after run_optimize returns): a miss seen here always
+      // coalesces into the task that is about to fill the cache, instead of
+      // queueing a second, no-op retrain. The hook only enqueues; it never
+      // calls back into the tuner.
+      async_optimize_(bucket_for(read_ratio), read_ratio);
+      return decision;
+    }
   }
   // Standalone (no worker attached): optimize inline, then re-decide against
   // the now-warm cache — the original blocking behaviour.

@@ -92,7 +92,8 @@ class OnlineTuner {
 
   /// When set, cache misses (on_window / prefetch) are delegated here
   /// instead of optimizing inline — the serve layer points this at its
-  /// RetrainWorker so no GA ever runs on a request-path thread.
+  /// RetrainWorker so no GA ever runs on a request-path thread. Invoked with
+  /// the tuner lock held: it must only enqueue, never call into the tuner.
   using AsyncOptimizeHook = std::function<void(int bucket, double read_ratio)>;
   void set_async_optimize_hook(AsyncOptimizeHook hook);
 

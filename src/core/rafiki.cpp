@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 
+#include "core/fitness.h"
 #include "engine/scylla.h"
 #include "util/sync.h"
 
@@ -251,17 +253,6 @@ opt::SearchSpace Rafiki::key_space() const {
   return opt::SearchSpace(std::move(dims));
 }
 
-std::vector<double> Rafiki::fitness_batch(const std::vector<std::vector<double>>& rows) const {
-  if (options_.ga_risk_aversion <= 0.0) return surrogate_.predict_batch(rows);
-  const auto preds = surrogate_.predict_batch_with_uncertainty(rows);
-  std::vector<double> values;
-  values.reserve(preds.size());
-  for (const auto& p : preds) {
-    values.push_back(p.mean - options_.ga_risk_aversion * p.stddev);
-  }
-  return values;
-}
-
 Rafiki::OptimizeResult Rafiki::optimize(double read_ratio) const {
   if (!surrogate_.trained()) throw std::logic_error("Rafiki::optimize: train() first");
   if (dynamic_) return optimize_dynamic(read_ratio);
@@ -270,22 +261,11 @@ Rafiki::OptimizeResult Rafiki::optimize(double read_ratio) const {
   // Whole-cohort surrogate evaluation: the GA scores each generation through
   // one batched ensemble call (matrix-matrix kernels) instead of one
   // matrix-vector pass per individual.
-  const auto objective = [&](const std::vector<std::vector<double>>& points) {
-    std::vector<std::vector<double>> rows;
-    rows.reserve(points.size());
-    for (const auto& point : points) {
-      std::vector<double> features;
-      features.reserve(point.size() + 1);
-      features.push_back(read_ratio);
-      features.insert(features.end(), point.begin(), point.end());
-      rows.push_back(std::move(features));
-    }
-    return fitness_batch(rows);
-  };
+  SurrogateFitness fitness(surrogate_, read_ratio, options_.ga_risk_aversion);
 
   // det:ok(wall-clock): wall_seconds is reporting-only; no result depends on it
   const auto t0 = std::chrono::steady_clock::now();
-  const auto ga = opt::ga_optimize_batched(space, objective, options_.ga);
+  const auto ga = opt::ga_optimize_cohort(space, std::ref(fitness), options_.ga);
   // det:ok(wall-clock): wall_seconds is reporting-only; no result depends on it
   const auto t1 = std::chrono::steady_clock::now();
 
@@ -322,19 +302,7 @@ Rafiki::OptimizeResult Rafiki::optimize_dynamic(double read_ratio) const {
 
   // The surrogate consumes the FULL registry layout; the GA's genome is only
   // the active subspace, expanded per evaluation with inactive knobs pinned.
-  const auto objective = [&](const std::vector<std::vector<double>>& points) {
-    std::vector<std::vector<double>> rows;
-    rows.reserve(points.size());
-    for (const auto& point : points) {
-      const auto full = map.expand(point);
-      std::vector<double> features;
-      features.reserve(full.size() + 1);
-      features.push_back(read_ratio);
-      features.insert(features.end(), full.begin(), full.end());
-      rows.push_back(std::move(features));
-    }
-    return fitness_batch(rows);
-  };
+  SurrogateFitness fitness(surrogate_, read_ratio, options_.ga_risk_aversion, &map);
 
   // Warm-start from the incumbent (pinned) configuration so a freshly re-cut
   // genome never searches from scratch: what previous optimizations learned
@@ -344,7 +312,7 @@ Rafiki::OptimizeResult Rafiki::optimize_dynamic(double read_ratio) const {
 
   // det:ok(wall-clock): wall_seconds is reporting-only; no result depends on it
   const auto t0 = std::chrono::steady_clock::now();
-  const auto ga = opt::ga_optimize_batched(map.reduced(), objective, ga_options);
+  const auto ga = opt::ga_optimize_cohort(map.reduced(), std::ref(fitness), ga_options);
   // det:ok(wall-clock): wall_seconds is reporting-only; no result depends on it
   const auto t1 = std::chrono::steady_clock::now();
 

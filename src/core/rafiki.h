@@ -186,10 +186,6 @@ class Rafiki {
 
   OptimizeResult optimize_dynamic(double read_ratio) const;
 
-  /// GA fitness for a batch of feature rows: the ensemble mean, or its lower
-  /// confidence bound when ga_risk_aversion is set.
-  std::vector<double> fitness_batch(const std::vector<std::vector<double>>& rows) const;
-
   RafikiOptions options_;
   std::vector<ParamRanking> ranking_;
   std::vector<engine::ParamId> key_params_;

@@ -8,6 +8,10 @@
 // scalar/batched parity the tests pin down.
 #include "ml/activation.h"
 
+#include <algorithm>
+#include <cstring>
+#include <iterator>
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #define RAFIKI_X86_DISPATCH 1
 #include <immintrin.h>
@@ -19,22 +23,63 @@ namespace rafiki::ml {
 namespace {
 namespace d = activation_detail;
 
-// One source of truth for the affine loop; the ISA wrappers below inline it
-// and let the auto-vectorizer emit wider code for the unit-stride batch
-// dimension `r`. The accumulation order per output element (bias, then
-// ascending i) never changes, so every wrapper is bit-identical.
+// kAffineRowTile batch rows as one GCC generic vector: the compiler lowers
+// it to whatever the enclosing ISA wrapper provides (one AVX-512 register,
+// two AVX2 registers, four SSE2 registers). Element-wise + and * on it are
+// the same correctly rounded IEEE-754 operations as on scalars.
+typedef double RowTile __attribute__((vector_size(kAffineRowTile * sizeof(double))));
+
+// Outputs per register tile: 4 x 8 accumulators fill eight AVX2 registers and
+// leave the rest of the sixteen for the input row and the weights.
+constexpr std::size_t kAffineOutputTile = 4;
+
+// One register tile: kOutputs outputs x kAffineRowTile rows accumulate in
+// registers across the whole input loop. `w`, `bias` and `out_t` point at the
+// tile's first output; `in_t` and `out_t` at its first row.
+template <std::size_t kOutputs>
+__attribute__((always_inline)) inline void affine_tile(const double* in_t, std::size_t ld,
+                                                       std::size_t in_dim, const double* w,
+                                                       const double* bias, double* out_t) {
+  RowTile acc[kOutputs];
+  for (std::size_t k = 0; k < kOutputs; ++k) {
+    double lanes[kAffineRowTile];
+    std::fill(std::begin(lanes), std::end(lanes), bias[k]);
+    std::memcpy(&acc[k], lanes, sizeof lanes);
+  }
+  for (std::size_t i = 0; i < in_dim; ++i) {
+    RowTile x;
+    std::memcpy(&x, in_t + i * ld, sizeof x);
+    for (std::size_t k = 0; k < kOutputs; ++k) acc[k] += w[k * in_dim + i] * x;
+  }
+  for (std::size_t k = 0; k < kOutputs; ++k) {
+    std::memcpy(out_t + k * ld, &acc[k], sizeof(RowTile));
+  }
+}
+
+// One source of truth for the affine layer; the ISA wrappers below inline
+// it. The accumulation order per output element (bias, then ascending i,
+// mul then add) never changes, so every wrapper is bit-identical.
 __attribute__((always_inline)) inline void affine_body(
-    const double* in_t, std::size_t n, std::size_t in_dim, const double* w,
+    const double* in_t, std::size_t ld, std::size_t in_dim, const double* w,
     const double* bias, double* out_t, std::size_t out_dim) {
-  for (std::size_t o = 0; o < out_dim; ++o) {
-    double* out_row = out_t + o * n;
-    const double b = bias[o];
-    for (std::size_t r = 0; r < n; ++r) out_row[r] = b;
-    const double* w_row = w + o * in_dim;
-    for (std::size_t i = 0; i < in_dim; ++i) {
-      const double wv = w_row[i];
-      const double* in_row = in_t + i * n;
-      for (std::size_t r = 0; r < n; ++r) out_row[r] += wv * in_row[r];
+  for (std::size_t r = 0; r < ld; r += kAffineRowTile) {
+    std::size_t o = 0;
+    for (; o + kAffineOutputTile <= out_dim; o += kAffineOutputTile) {
+      affine_tile<kAffineOutputTile>(in_t + r, ld, in_dim, w + o * in_dim, bias + o,
+                                     out_t + o * ld + r);
+    }
+    switch (out_dim - o) {
+      case 3:
+        affine_tile<3>(in_t + r, ld, in_dim, w + o * in_dim, bias + o, out_t + o * ld + r);
+        break;
+      case 2:
+        affine_tile<2>(in_t + r, ld, in_dim, w + o * in_dim, bias + o, out_t + o * ld + r);
+        break;
+      case 1:
+        affine_tile<1>(in_t + r, ld, in_dim, w + o * in_dim, bias + o, out_t + o * ld + r);
+        break;
+      default:
+        break;
     }
   }
 }
@@ -124,17 +169,17 @@ void tanh_block_avx512(double* values, std::size_t n) {
 #pragma GCC diagnostic pop
 
 __attribute__((target("avx2")))
-void affine_block_avx2(const double* in_t, std::size_t n, std::size_t in_dim,
+void affine_block_avx2(const double* in_t, std::size_t ld, std::size_t in_dim,
                        const double* w, const double* bias, double* out_t,
                        std::size_t out_dim) {
-  affine_body(in_t, n, in_dim, w, bias, out_t, out_dim);
+  affine_body(in_t, ld, in_dim, w, bias, out_t, out_dim);
 }
 
 __attribute__((target("avx512f")))
-void affine_block_avx512(const double* in_t, std::size_t n, std::size_t in_dim,
+void affine_block_avx512(const double* in_t, std::size_t ld, std::size_t in_dim,
                          const double* w, const double* bias, double* out_t,
                          std::size_t out_dim) {
-  affine_body(in_t, n, in_dim, w, bias, out_t, out_dim);
+  affine_body(in_t, ld, in_dim, w, bias, out_t, out_dim);
 }
 
 enum class Isa { kScalar, kAvx2, kAvx512 };
@@ -165,21 +210,21 @@ void fast_tanh_block(double* values, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) values[i] = fast_tanh(values[i]);
 }
 
-void layer_affine_block(const double* in_t, std::size_t n, std::size_t in_dim,
+void layer_affine_block(const double* in_t, std::size_t ld, std::size_t in_dim,
                         const double* w, const double* bias, double* out_t,
                         std::size_t out_dim) noexcept {
 #if RAFIKI_X86_DISPATCH
   static const Isa isa = detect_isa();
   if (isa == Isa::kAvx512) {
-    affine_block_avx512(in_t, n, in_dim, w, bias, out_t, out_dim);
+    affine_block_avx512(in_t, ld, in_dim, w, bias, out_t, out_dim);
     return;
   }
   if (isa == Isa::kAvx2) {
-    affine_block_avx2(in_t, n, in_dim, w, bias, out_t, out_dim);
+    affine_block_avx2(in_t, ld, in_dim, w, bias, out_t, out_dim);
     return;
   }
 #endif
-  affine_body(in_t, n, in_dim, w, bias, out_t, out_dim);
+  affine_body(in_t, ld, in_dim, w, bias, out_t, out_dim);
 }
 
 }  // namespace rafiki::ml

@@ -84,19 +84,32 @@ inline double fast_tanh(double x) noexcept {
 /// per instruction, picked once at runtime.
 void fast_tanh_block(double* values, std::size_t n) noexcept;
 
+/// Batch rows per register tile of layer_affine_block. Transposed activation
+/// blocks use a leading dimension padded up to a multiple of this (see
+/// Mlp::forward_batch), so the kernel never runs a scalar tail.
+inline constexpr std::size_t kAffineRowTile = 8;
+
 /// Dense affine layer over a column-major (transposed) batch:
 ///
-///   out_t[o*n + r] = bias[o] + sum_i w[o*in_dim + i] * in_t[i*n + r]
+///   out_t[o*ld + r] = bias[o] + sum_i w[o*in_dim + i] * in_t[i*ld + r]
 ///
-/// Activations are stored transposed ([unit][row]) so each inner loop is a
-/// unit-stride axpy across the whole batch — the vector lane is the batch
-/// dimension, which stays long no matter how narrow the layer is. `w` is the
-/// layer's weight block in its native out_dim x in_dim layout. Each output
-/// element accumulates bias-first then ascending input index — the exact
-/// order Mlp::forward uses — and rows are independent lanes, so results are
-/// bit-identical to the scalar path. Dispatched to AVX2 / AVX-512 codegen on
-/// x86-64 at runtime.
-void layer_affine_block(const double* in_t, std::size_t n, std::size_t in_dim,
+/// Activations are stored transposed ([unit][row]) so the vector lane is the
+/// batch dimension, which stays long no matter how narrow the layer is. `ld`
+/// is the leading dimension of both blocks and must be a multiple of
+/// kAffineRowTile; lanes past the caller's real batch are padding, computed
+/// like any other lane and ignored by the caller. `w` is the layer's weight
+/// block in its native out_dim x in_dim layout.
+///
+/// Register tiling: 4 outputs x kAffineRowTile rows stay in registers across
+/// the whole input loop (the out_dim % 4 leftover outputs run as a narrower
+/// tile of the same form), so each input row is loaded once per tile and
+/// each output stored once. The accumulation order per output element is
+/// fixed: bias first, then ascending input index, each step a multiply then
+/// an add (never fused) — the exact order Mlp::forward uses. Rows are
+/// independent lanes, so results are bit-identical to the scalar path.
+/// Dispatched to AVX2 / AVX-512 codegen on x86-64 at runtime; every ISA runs
+/// the same template body.
+void layer_affine_block(const double* in_t, std::size_t ld, std::size_t in_dim,
                         const double* w, const double* bias, double* out_t,
                         std::size_t out_dim) noexcept;
 

@@ -109,120 +109,116 @@ double SurrogateEnsemble::predict(std::span<const double> x) const {
 
 SurrogateEnsemble::Prediction SurrogateEnsemble::predict_with_uncertainty(
     std::span<const double> x) const {
-  return predict_batch_with_uncertainty({{x.begin(), x.end()}}).front();
+  Matrix row(1, x.size());
+  std::copy(x.begin(), x.end(), row.row(0).begin());
+  Prediction prediction;
+  BatchWorkspace workspace;
+  predict_batch_with_uncertainty(row, {&prediction, 1}, workspace);
+  return prediction;
 }
 
-std::vector<double> SurrogateEnsemble::predict_batch(
-    const std::vector<std::vector<double>>& x_rows) const {
+std::size_t SurrogateEnsemble::accumulate(const Matrix& x_rows, std::size_t out_size,
+                                          BatchWorkspace& workspace, bool squares) const {
   if (nets_.empty()) throw std::logic_error("SurrogateEnsemble::predict_batch: not trained");
-  if (x_rows.empty()) return {};
-  Matrix packed(x_rows.size(), norm_in_.features());
-  for (std::size_t r = 0; r < x_rows.size(); ++r) {
-    if (x_rows[r].size() != norm_in_.features()) {
-      throw std::invalid_argument("SurrogateEnsemble::predict_batch: row size");
-    }
-    for (std::size_t c = 0; c < norm_in_.features(); ++c) packed(r, c) = x_rows[r][c];
-  }
-  return predict_batch(packed);
-}
-
-std::vector<double> SurrogateEnsemble::predict_batch(const Matrix& x_rows) const {
-  if (nets_.empty()) throw std::logic_error("SurrogateEnsemble::predict_batch: not trained");
-  if (x_rows.rows() == 0) return {};
-  if (x_rows.cols() != norm_in_.features()) {
+  const std::size_t n = x_rows.rows();
+  if (out_size != n) throw std::invalid_argument("SurrogateEnsemble::predict_batch: out size");
+  if (n == 0) return 0;
+  const std::size_t features = norm_in_.features();
+  if (x_rows.cols() != features) {
     throw std::invalid_argument("SurrogateEnsemble::predict_batch: row size");
   }
-  const std::size_t n = x_rows.rows();
 
-  Matrix xn(n, norm_in_.features());
+  auto& xn = workspace.normalized;
+  xn.resize(n, features);
   for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < norm_in_.features(); ++c) {
-      xn(r, c) = norm_in_.map(x_rows(r, c), c);
-    }
+    for (std::size_t c = 0; c < features; ++c) xn(r, c) = norm_in_.map(x_rows(r, c), c);
   }
 
   // Member order matches predict()'s loop, so the per-row sums round the
   // same way and the batched path is bit-for-bit identical. One scratch and
   // one member buffer serve every net, so the per-batch cost stays in the
   // affine/tanh kernels rather than the allocator.
-  std::vector<double> sum(n, 0.0);
-  std::vector<double> member(n);
-  Mlp::BatchScratch scratch;
+  auto& sum = workspace.sum;
+  auto& sumsq = workspace.sumsq;
+  auto& member = workspace.member;
+  sum.assign(n, 0.0);
+  if (squares) sumsq.assign(n, 0.0);
+  member.resize(n);
   std::size_t count = 0;
   for (std::size_t k = 0; k < nets_.size(); ++k) {
     if (!active_[k]) continue;
-    nets_[k].forward_batch(xn, member, scratch);
+    nets_[k].forward_batch(xn, member, workspace.scratch);
     for (std::size_t r = 0; r < n; ++r) sum[r] += member[r];
+    if (squares) {
+      for (std::size_t r = 0; r < n; ++r) sumsq[r] += member[r] * member[r];
+    }
     ++count;
   }
-  std::vector<double> out(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    out[r] = norm_out_.unmap(sum[r] / static_cast<double>(count ? count : 1));
+  return count;
+}
+
+void SurrogateEnsemble::predict_batch(const Matrix& x_rows, std::span<double> out,
+                                      BatchWorkspace& workspace) const {
+  const std::size_t count = accumulate(x_rows, out.size(), workspace, false);
+  const auto denom = static_cast<double>(count ? count : 1);
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    out[r] = norm_out_.unmap(workspace.sum[r] / denom);
   }
+}
+
+void SurrogateEnsemble::predict_batch_with_uncertainty(const Matrix& x_rows,
+                                                       std::span<Prediction> out,
+                                                       BatchWorkspace& workspace) const {
+  const std::size_t count = accumulate(x_rows, out.size(), workspace, true);
+  const auto denom = static_cast<double>(count ? count : 1);
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    const double sum = workspace.sum[r];
+    const double mean_n = sum / denom;
+    out[r].mean = norm_out_.unmap(mean_n);
+    out[r].stddev = 0.0;
+    if (count > 1) {
+      const double var_n = std::max(
+          0.0, (workspace.sumsq[r] - sum * mean_n) / static_cast<double>(count - 1));
+      out[r].stddev = norm_out_.unmap_delta(std::sqrt(var_n));
+    }
+  }
+}
+
+Matrix SurrogateEnsemble::pack(const std::vector<std::vector<double>>& x_rows) const {
+  if (nets_.empty()) throw std::logic_error("SurrogateEnsemble::predict_batch: not trained");
+  Matrix packed(x_rows.size(), norm_in_.features());
+  for (std::size_t r = 0; r < x_rows.size(); ++r) {
+    if (x_rows[r].size() != norm_in_.features()) {
+      throw std::invalid_argument("SurrogateEnsemble::predict_batch: row size");
+    }
+    std::copy(x_rows[r].begin(), x_rows[r].end(), packed.row(r).begin());
+  }
+  return packed;
+}
+
+std::vector<double> SurrogateEnsemble::predict_batch(const Matrix& x_rows) const {
+  std::vector<double> out(x_rows.rows());
+  BatchWorkspace workspace;
+  predict_batch(x_rows, out, workspace);
+  return out;
+}
+
+std::vector<double> SurrogateEnsemble::predict_batch(
+    const std::vector<std::vector<double>>& x_rows) const {
+  return predict_batch(pack(x_rows));
+}
+
+std::vector<SurrogateEnsemble::Prediction> SurrogateEnsemble::predict_batch_with_uncertainty(
+    const Matrix& x_rows) const {
+  std::vector<Prediction> out(x_rows.rows());
+  BatchWorkspace workspace;
+  predict_batch_with_uncertainty(x_rows, out, workspace);
   return out;
 }
 
 std::vector<SurrogateEnsemble::Prediction> SurrogateEnsemble::predict_batch_with_uncertainty(
     const std::vector<std::vector<double>>& x_rows) const {
-  if (nets_.empty()) {
-    throw std::logic_error("SurrogateEnsemble::predict_batch_with_uncertainty: not trained");
-  }
-  if (x_rows.empty()) return {};
-  Matrix packed(x_rows.size(), norm_in_.features());
-  for (std::size_t r = 0; r < x_rows.size(); ++r) {
-    if (x_rows[r].size() != norm_in_.features()) {
-      throw std::invalid_argument("SurrogateEnsemble::predict_batch_with_uncertainty: row size");
-    }
-    for (std::size_t c = 0; c < norm_in_.features(); ++c) packed(r, c) = x_rows[r][c];
-  }
-  return predict_batch_with_uncertainty(packed);
-}
-
-std::vector<SurrogateEnsemble::Prediction> SurrogateEnsemble::predict_batch_with_uncertainty(
-    const Matrix& x_rows) const {
-  if (nets_.empty()) {
-    throw std::logic_error("SurrogateEnsemble::predict_batch_with_uncertainty: not trained");
-  }
-  if (x_rows.rows() == 0) return {};
-  if (x_rows.cols() != norm_in_.features()) {
-    throw std::invalid_argument("SurrogateEnsemble::predict_batch_with_uncertainty: row size");
-  }
-  const std::size_t n = x_rows.rows();
-
-  Matrix xn(n, norm_in_.features());
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < norm_in_.features(); ++c) {
-      xn(r, c) = norm_in_.map(x_rows(r, c), c);
-    }
-  }
-
-  std::vector<double> sum(n, 0.0);
-  std::vector<double> sumsq(n, 0.0);
-  std::vector<double> member(n);
-  Mlp::BatchScratch scratch;
-  std::size_t count = 0;
-  for (std::size_t k = 0; k < nets_.size(); ++k) {
-    if (!active_[k]) continue;
-    nets_[k].forward_batch(xn, member, scratch);
-    for (std::size_t r = 0; r < n; ++r) {
-      sum[r] += member[r];
-      sumsq[r] += member[r] * member[r];
-    }
-    ++count;
-  }
-
-  std::vector<Prediction> out(n);
-  const auto denom = static_cast<double>(count ? count : 1);
-  for (std::size_t r = 0; r < n; ++r) {
-    const double mean_n = sum[r] / denom;
-    out[r].mean = norm_out_.unmap(mean_n);
-    if (count > 1) {
-      const double var_n =
-          std::max(0.0, (sumsq[r] - sum[r] * mean_n) / static_cast<double>(count - 1));
-      out[r].stddev = norm_out_.unmap_delta(std::sqrt(var_n));
-    }
-  }
-  return out;
+  return predict_batch_with_uncertainty(pack(x_rows));
 }
 
 }  // namespace rafiki::ml

@@ -50,11 +50,33 @@ class SurrogateEnsemble {
   };
   Prediction predict_with_uncertainty(std::span<const double> x) const;
 
+  /// Reusable buffers for the workspace overloads below: the normalized
+  /// input block, the per-row member sums, one member's outputs, and the
+  /// member networks' forward scratch. A caller scoring batch after batch
+  /// (a GA generation, a serve worker's micro-batch) keeps one workspace, so
+  /// after the largest batch it has seen a call allocates nothing.
+  struct BatchWorkspace {
+    Matrix normalized;
+    std::vector<double> sum;
+    std::vector<double> sumsq;
+    std::vector<double> member;
+    Mlp::BatchScratch scratch;
+  };
+
   /// Batched prediction over raw feature rows: one matrix-matrix product per
   /// layer per member (Mlp::forward_batch) instead of a matrix-vector product
-  /// per row. Bit-for-bit identical to calling predict() on each row. The
-  /// Matrix overloads are the allocation-lean hot path (one flat block, no
-  /// per-row vectors); the vector-of-rows forms delegate to them.
+  /// per row. Bit-for-bit identical to calling predict() on each row. Writes
+  /// x_rows.rows() values to `out`. Every other predict_batch overload
+  /// delegates here.
+  void predict_batch(const Matrix& x_rows, std::span<double> out,
+                     BatchWorkspace& workspace) const;
+  /// Mean and cross-member spread per row, bit-identical to
+  /// predict_with_uncertainty() per row. Every other uncertainty overload
+  /// delegates here.
+  void predict_batch_with_uncertainty(const Matrix& x_rows, std::span<Prediction> out,
+                                      BatchWorkspace& workspace) const;
+
+  /// Allocating conveniences over the workspace overloads.
   std::vector<double> predict_batch(const Matrix& x_rows) const;
   std::vector<double> predict_batch(const std::vector<std::vector<double>>& x_rows) const;
   std::vector<Prediction> predict_batch_with_uncertainty(const Matrix& x_rows) const;
@@ -73,6 +95,14 @@ class SurrogateEnsemble {
   const std::vector<Mlp>& nets() const noexcept { return nets_; }
 
  private:
+  /// Shared front half of the workspace overloads: validates x_rows,
+  /// normalizes it into the workspace and sums the active members' outputs
+  /// per row (and their squares when `squares`), in predict()'s member
+  /// order. Returns the active member count.
+  std::size_t accumulate(const Matrix& x_rows, std::size_t out_size,
+                         BatchWorkspace& workspace, bool squares) const;
+  Matrix pack(const std::vector<std::vector<double>>& x_rows) const;
+
   Normalizer norm_in_;
   Normalizer norm_out_;
   std::vector<Mlp> nets_;

@@ -17,6 +17,15 @@ class Matrix {
 
   static Matrix identity(std::size_t n);
 
+  /// Reshapes to rows x cols, keeping the allocation when it is already
+  /// large enough (so a reused matrix stops allocating once it has seen its
+  /// largest shape). Element values are unspecified afterwards.
+  void resize(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
 

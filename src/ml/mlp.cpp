@@ -1,5 +1,6 @@
 #include "ml/mlp.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -75,33 +76,35 @@ void Mlp::forward_batch(const Matrix& x_rows, std::span<double> out,
   if (out.size() != n) throw std::invalid_argument("Mlp::forward_batch: out size");
 
   // Activations live transposed ([unit][row]) so every affine inner loop in
-  // layer_affine_block is a unit-stride pass across the whole batch — the
-  // vector lane is the batch dimension, which stays long no matter how
-  // narrow a layer is. Transpose the input once, then ping-pong between the
-  // two flat buffers.
-  scratch.a.resize(n * layers_.front());
-  for (std::size_t r = 0; r < n; ++r) {
-    const double* row = x_rows.row(r).data();
-    for (std::size_t c = 0; c < layers_.front(); ++c) scratch.a[c * n + r] = row[c];
+  // layer_affine_block runs across the batch — the vector lane is the batch
+  // dimension, which stays long no matter how narrow a layer is. The leading
+  // dimension is padded to whole register tiles; padding lanes start at zero
+  // and stay finite (bias, then tanh of it), and nothing reads them back.
+  // Transpose the input once, then ping-pong between the two flat buffers.
+  const std::size_t ld = (n + kAffineRowTile - 1) / kAffineRowTile * kAffineRowTile;
+  const std::size_t inputs = layers_.front();
+  scratch.a.resize(ld * inputs);
+  for (std::size_t c = 0; c < inputs; ++c) {
+    double* column = scratch.a.data() + c * ld;
+    for (std::size_t r = 0; r < n; ++r) column[r] = x_rows(r, c);
+    std::fill(column + n, column + ld, 0.0);
   }
   const double* in = scratch.a.data();
-  const double* cur = nullptr;
   for (std::size_t l = 0; l < views_.size(); ++l) {
     const auto& view = views_[l];
     auto& dst = (l % 2 == 0) ? scratch.z : scratch.a;
-    dst.resize(n * view.out);
+    dst.resize(ld * view.out);
     // Bias-first, ascending-input-index accumulation — the same per-element
     // order as forward(), so sums round identically (see activation.h).
-    layer_affine_block(in, n, view.in, &params_[view.w_offset],
+    layer_affine_block(in, ld, view.in, &params_[view.w_offset],
                        &params_[view.b_offset], dst.data(), view.out);
-    // One SIMD activation sweep over the whole out x n block instead of a
+    // One SIMD activation sweep over the whole out x ld block instead of a
     // scalar call per element; bit-identical to fast_tanh.
-    if (l + 1 < views_.size()) fast_tanh_block(dst.data(), n * view.out);
-    cur = dst.data();
-    in = cur;
+    if (l + 1 < views_.size()) fast_tanh_block(dst.data(), ld * view.out);
+    in = dst.data();
   }
-  // The output layer has width 1, so its transposed block is the outputs.
-  std::copy(cur, cur + n, out.begin());
+  // The output layer has width 1, so its first n lanes are the outputs.
+  std::copy(in, in + n, out.begin());
 }
 
 double Mlp::forward_with_gradient(std::span<const double> x, std::span<double> grad) const {

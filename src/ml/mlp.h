@@ -42,11 +42,15 @@ class Mlp {
 
   /// Batched forward pass: each row of `X` is one normalized input vector,
   /// evaluated with one matrix-matrix product per layer instead of one
-  /// matrix-vector product per request. The per-element accumulation order
-  /// (bias first, then weights in ascending input index) matches forward()
+  /// matrix-vector product per request. Activations are held transposed
+  /// ([unit][row]) with the row dimension padded up to a multiple of
+  /// kAffineRowTile (activation.h), so the register-tiled affine kernel
+  /// and the tanh sweep never run a scalar tail; padding lanes are computed
+  /// and discarded. The per-element accumulation order (bias first, then
+  /// weights in ascending input index, mul then add) matches forward()
   /// exactly, so results are bit-for-bit identical to calling forward() row
   /// by row — the serve-layer micro-batcher and the GA population loop rely
-  /// on that equivalence.
+  /// on that equivalence. forward() stays the scalar reference.
   std::vector<double> forward_batch(const Matrix& x_rows) const;
 
   /// Allocation-free variant: writes the x_rows.rows() outputs to `out` and

@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "opt/space.h"
@@ -50,19 +52,35 @@ struct GaResult {
   std::vector<std::vector<double>> best_point_history;
 };
 
-/// Vectorized objective: fitness for a whole set of points at once. The GA
-/// evaluates each generation's offspring through one such call, which lets a
-/// surrogate-backed objective run one batched ensemble evaluation per
-/// generation (SurrogateEnsemble::predict_batch) instead of one per
-/// individual. Must return exactly one value per input point.
+/// Cohort objective: scores `fitness.size()` genomes stored row-major in
+/// `genomes` (space.size() values per genome, so genomes.size() ==
+/// fitness.size() * space.size()) and writes one value per genome. The GA
+/// hands each generation's offspring over as one contiguous block, so a
+/// surrogate-backed objective can pack it into a reused feature matrix and
+/// run one batched ensemble evaluation per generation with no per-individual
+/// allocation.
+using CohortObjective =
+    std::function<void(std::span<const double> genomes, std::span<double> fitness)>;
+
+/// Vectorized objective: fitness for a whole set of points at once. Must
+/// return exactly one value per input point.
 using BatchObjective =
     std::function<std::vector<double>(const std::vector<std::vector<double>>&)>;
 
+/// The GA. The population lives in one flat genome block (plus score, raw
+/// and violation arrays) that is double-buffered between generations. Only
+/// genome creation draws from the RNG, never fitness evaluation, so the
+/// entry points below return bit-identical results for objectives that
+/// agree row for row. Throws std::invalid_argument on an empty population.
+GaResult ga_optimize_cohort(const SearchSpace& space, const CohortObjective& objective,
+                            const GaOptions& options = {});
+
+/// One scalar objective call per genome.
 GaResult ga_optimize(const SearchSpace& space, const Objective& objective,
                      const GaOptions& options = {});
 
-/// Same algorithm and RNG stream as ga_optimize — results are identical when
-/// the batch objective agrees with the scalar one row-for-row.
+/// Vector-of-points adapter over ga_optimize_cohort; throws
+/// std::invalid_argument when the objective returns the wrong count.
 GaResult ga_optimize_batched(const SearchSpace& space, const BatchObjective& objective,
                              const GaOptions& options = {});
 

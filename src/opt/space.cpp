@@ -15,11 +15,15 @@ SearchSpace::SearchSpace(std::vector<Dimension> dims) : dims_(std::move(dims)) {
 
 std::vector<double> SearchSpace::random_point(Rng& rng) const {
   std::vector<double> point(dims_.size());
-  for (std::size_t i = 0; i < dims_.size(); ++i) {
-    point[i] = rng.uniform(dims_[i].lo, dims_[i].hi);
-    if (dims_[i].integral) point[i] = std::round(point[i]);
-  }
+  random_point(rng, point);
   return point;
+}
+
+void SearchSpace::random_point(Rng& rng, std::span<double> out) const {
+  for (std::size_t i = 0; i < dims_.size(); ++i) {
+    out[i] = rng.uniform(dims_[i].lo, dims_[i].hi);
+    if (dims_[i].integral) out[i] = std::round(out[i]);
+  }
 }
 
 std::vector<double> SearchSpace::snap(std::vector<double> point) const {
@@ -128,10 +132,16 @@ SubspaceMap::SubspaceMap(std::vector<Dimension> full_dims, std::vector<std::size
 }
 
 std::vector<double> SubspaceMap::expand(std::span<const double> reduced_point) const {
-  std::vector<double> full = pinned_;
+  std::vector<double> full(pinned_.size());
+  expand(reduced_point, full);
+  return full;
+}
+
+void SubspaceMap::expand(std::span<const double> reduced_point,
+                         std::span<double> full) const {
+  std::copy(pinned_.begin(), pinned_.end(), full.begin());
   const std::size_t n = std::min(reduced_point.size(), active_.size());
   for (std::size_t i = 0; i < n; ++i) full[active_[i]] = reduced_point[i];
-  return full;
 }
 
 std::vector<double> SubspaceMap::restrict(std::span<const double> full_point) const {

@@ -33,6 +33,8 @@ class SearchSpace {
   const std::vector<Dimension>& dims() const noexcept { return dims_; }
 
   std::vector<double> random_point(Rng& rng) const;
+  /// Same draws as random_point, written into `out` (size() values).
+  void random_point(Rng& rng, std::span<double> out) const;
   /// Clamps into bounds and rounds integral dimensions.
   std::vector<double> snap(std::vector<double> point) const;
   bool feasible(std::span<const double> point) const;
@@ -78,6 +80,8 @@ class SubspaceMap {
   /// Full-dimensional point: pinned values with the reduced point's values
   /// substituted at the active indices.
   std::vector<double> expand(std::span<const double> reduced_point) const;
+  /// Same as expand, written into `full` (full_size() values).
+  void expand(std::span<const double> reduced_point, std::span<double> full) const;
   /// Reduced point: the full point's values at the active indices.
   std::vector<double> restrict(std::span<const double> full_point) const;
 

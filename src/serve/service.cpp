@@ -1,5 +1,6 @@
 #include "serve/service.h"
 
+#include <functional>
 #include <utility>
 
 #if defined(__linux__)
@@ -8,6 +9,7 @@
 #include <time.h>
 #endif
 
+#include "core/fitness.h"
 #include "core/online.h"
 
 namespace rafiki::serve {
@@ -219,9 +221,10 @@ void TuningService::worker_loop(std::size_t worker_index) {
     pin_current_thread(
         options_.cpu_affinity[worker_index % options_.cpu_affinity.size()]);
   }
+  PredictScratch scratch;
   while (auto job = queue_.pop()) {
     if (job->request.endpoint != Endpoint::kPredict) {
-      run_single(std::move(*job));
+      run_single(std::move(*job), scratch);
       continue;
     }
 
@@ -253,8 +256,8 @@ void TuningService::worker_loop(std::size_t worker_index) {
         break;
       }
     }
-    run_predict_batch(std::move(batch));
-    if (carry) run_single(std::move(*carry));
+    run_predict_batch(std::move(batch), scratch);
+    if (carry) run_single(std::move(*carry), scratch);
   }
   worker_cpu_us_.fetch_add(thread_cpu_us(), std::memory_order_relaxed);
 }
@@ -266,7 +269,7 @@ void TuningService::finish(Job& job, Response response) {
   job.done(std::move(response));
 }
 
-void TuningService::run_predict_batch(std::vector<Job> batch) {
+void TuningService::run_predict_batch(std::vector<Job> batch, PredictScratch& scratch) {
   const Tick now = now_tick();
 
   // Deadline triage, then partition by tenant: a micro-batch may interleave
@@ -296,12 +299,15 @@ void TuningService::run_predict_batch(std::vector<Job> batch) {
       continue;
     }
 
-    std::vector<std::vector<double>> rows;
-    rows.reserve(live.size());
-    for (const auto& job : live) {
-      rows.push_back(snapshot->feature_row(job.request.read_ratio, job.request.config));
+    scratch.rows.resize(live.size(), snapshot->key_params.size() + 1);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      snapshot->write_feature_row(live[i].request.read_ratio, live[i].request.config,
+                                  scratch.rows.row(i));
     }
-    const auto predictions = snapshot->ensemble.predict_batch_with_uncertainty(rows);
+    auto& predictions = scratch.predictions;
+    predictions.resize(live.size());
+    snapshot->ensemble.predict_batch_with_uncertainty(scratch.rows, predictions,
+                                                      scratch.workspace);
     stats_.record_batch(live.size());
 
     for (std::size_t i = 0; i < live.size(); ++i) {
@@ -316,7 +322,7 @@ void TuningService::run_predict_batch(std::vector<Job> batch) {
   }
 }
 
-void TuningService::run_single(Job job) {
+void TuningService::run_single(Job job, PredictScratch& scratch) {
   Response response;
   if (expired(job.request, now_tick())) {
     response.status = Status::kDeadlineExceeded;
@@ -330,7 +336,7 @@ void TuningService::run_single(Job job) {
       // but kept correct for direct use: a batch of one.
       std::vector<Job> batch;
       batch.push_back(std::move(job));
-      run_predict_batch(std::move(batch));
+      run_predict_batch(std::move(batch), scratch);
       return;
     }
     case Endpoint::kOptimize: {
@@ -339,20 +345,8 @@ void TuningService::run_single(Job job) {
         response.status = Status::kNotReady;
         break;
       }
-      const double read_ratio = job.request.read_ratio;
-      const auto objective = [&](const std::vector<std::vector<double>>& points) {
-        std::vector<std::vector<double>> rows;
-        rows.reserve(points.size());
-        for (const auto& point : points) {
-          std::vector<double> features;
-          features.reserve(point.size() + 1);
-          features.push_back(read_ratio);
-          features.insert(features.end(), point.begin(), point.end());
-          rows.push_back(std::move(features));
-        }
-        return snapshot->ensemble.predict_batch(rows);
-      };
-      const auto ga = opt::ga_optimize_batched(*snapshot->space, objective, options_.ga);
+      core::SurrogateFitness fitness(snapshot->ensemble, job.request.read_ratio);
+      const auto ga = opt::ga_optimize_cohort(*snapshot->space, std::ref(fitness), options_.ga);
       response.status = Status::kOk;
       response.model_version = snapshot->version;
       response.config = engine::Config::from_vector(snapshot->key_params, ga.best_point);

@@ -224,9 +224,18 @@ class TuningService : public TuningBackend {
     std::chrono::steady_clock::time_point enqueued;
   };
 
+  /// Per-worker buffers for Predict micro-batches: the batch's feature
+  /// rows go straight into `rows`, and the ensemble scores them through
+  /// `workspace`, so a warmed-up worker allocates nothing per forward.
+  struct PredictScratch {
+    ml::Matrix rows;
+    ml::SurrogateEnsemble::BatchWorkspace workspace;
+    std::vector<ml::SurrogateEnsemble::Prediction> predictions;
+  };
+
   void worker_loop(std::size_t worker_index);
-  void run_single(Job job);
-  void run_predict_batch(std::vector<Job> batch);
+  void run_single(Job job, PredictScratch& scratch);
+  void run_predict_batch(std::vector<Job> batch, PredictScratch& scratch);
   void finish(Job& job, Response response);
   Tick now_tick() const { return options_.clock_fn ? options_.clock_fn() : 0; }
   bool expired(const Request& request, Tick now) const {

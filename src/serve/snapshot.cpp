@@ -8,11 +8,15 @@ namespace rafiki::serve {
 
 std::vector<double> ModelSnapshot::feature_row(double read_ratio,
                                                const engine::Config& config) const {
-  std::vector<double> row;
-  row.reserve(key_params.size() + 1);
-  row.push_back(read_ratio);
-  for (auto id : key_params) row.push_back(config.get(id));
+  std::vector<double> row(key_params.size() + 1);
+  write_feature_row(read_ratio, config, row);
   return row;
+}
+
+void ModelSnapshot::write_feature_row(double read_ratio, const engine::Config& config,
+                                      std::span<double> out) const {
+  out[0] = read_ratio;
+  for (std::size_t j = 0; j < key_params.size(); ++j) out[1 + j] = config.get(key_params[j]);
 }
 
 ModelSnapshot make_snapshot(const core::Rafiki& rafiki) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "engine/config.h"
@@ -49,6 +50,9 @@ struct ModelSnapshot {
   /// Surrogate feature row for (workload, configuration) in this snapshot's
   /// feature order.
   std::vector<double> feature_row(double read_ratio, const engine::Config& config) const;
+  /// Same row written into `out` (key_params.size() + 1 values).
+  void write_feature_row(double read_ratio, const engine::Config& config,
+                         std::span<double> out) const;
 };
 
 /// Copies the trained artifacts of a pipeline into a publishable snapshot

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/fitness.h"
 #include "core/online.h"
 #include "ml/metrics.h"
 
@@ -146,6 +147,49 @@ TEST(RafikiOptionsTest, KeySpaceMatchesParams) {
   EXPECT_TRUE(space.dim(0).integral);
   EXPECT_EQ(space.dim(3).name, "memtable_cleanup_threshold");
   EXPECT_FALSE(space.dim(3).integral);
+}
+
+TEST_F(PipelineTest, SurrogateFitnessMatchesScalarPredictions) {
+  // The GA objective must score every genome exactly as a scalar predict of
+  // its feature row would: plain mean, risk-averse LCB, and a reduced genome
+  // expanded through a SubspaceMap. Shrinking then growing the cohort checks
+  // that the reused matrix and workspace carry nothing over.
+  const auto& surrogate = rafiki_->surrogate();
+  const auto space = rafiki_->key_space();
+  const double rr = 0.3;
+  const double risk = 1.5;
+  const opt::SubspaceMap map(space.dims(), {1, 3}, space.snap(std::vector<double>(space.size())));
+  SurrogateFitness mean(surrogate, rr);
+  SurrogateFitness lcb(surrogate, rr, risk);
+  SurrogateFitness reduced(surrogate, rr, 0.0, &map);
+  Rng rng(8);
+  for (const std::size_t cohort : {7u, 1u, 9u}) {
+    std::vector<double> full, partial;
+    for (std::size_t i = 0; i < cohort; ++i) {
+      const auto point = space.random_point(rng);
+      full.insert(full.end(), point.begin(), point.end());
+      const auto sub = map.reduced().random_point(rng);
+      partial.insert(partial.end(), sub.begin(), sub.end());
+    }
+    std::vector<double> got_mean(cohort), got_lcb(cohort), got_reduced(cohort);
+    mean(full, got_mean);
+    lcb(full, got_lcb);
+    reduced(partial, got_reduced);
+    for (std::size_t i = 0; i < cohort; ++i) {
+      std::vector<double> row{rr};
+      row.insert(row.end(), full.begin() + static_cast<std::ptrdiff_t>(i * space.size()),
+                 full.begin() + static_cast<std::ptrdiff_t>((i + 1) * space.size()));
+      const auto p = surrogate.predict_with_uncertainty(row);
+      EXPECT_EQ(got_mean[i], surrogate.predict(row)) << "cohort " << cohort << " row " << i;
+      EXPECT_EQ(got_lcb[i], p.mean - risk * p.stddev) << "cohort " << cohort << " row " << i;
+
+      const auto expanded = map.expand(std::span<const double>(partial).subspan(i * 2, 2));
+      std::vector<double> reduced_row{rr};
+      reduced_row.insert(reduced_row.end(), expanded.begin(), expanded.end());
+      EXPECT_EQ(got_reduced[i], surrogate.predict(reduced_row))
+          << "cohort " << cohort << " row " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -22,20 +22,37 @@ namespace rafiki::ml {
 namespace {
 
 TEST(ForwardBatch, MatchesForwardBitForBit) {
-  Mlp net({4, 7, 3, 1});
+  // Batch sizes on both sides of every register-tile boundary (the padded
+  // lanes of a partial 8-row tile) and topologies whose layer widths are
+  // not multiples of the 4-output tile, all through one reused scratch.
+  const std::vector<std::vector<std::size_t>> topologies = {{4, 7, 3, 1}, {6, 14, 4, 1}};
+  std::vector<std::size_t> batch_sizes;
+  for (std::size_t n = 1; n <= 17; ++n) batch_sizes.push_back(n);
+  batch_sizes.push_back(33);
+  batch_sizes.push_back(46);
+
   Rng rng(2024);
-  net.randomize(rng);
-
-  constexpr std::size_t kRows = 33;
-  Matrix x(kRows, 4);
-  for (std::size_t r = 0; r < kRows; ++r) {
-    for (std::size_t c = 0; c < 4; ++c) x(r, c) = rng.uniform(-1.0, 1.0);
-  }
-
-  const auto batched = net.forward_batch(x);
-  ASSERT_EQ(batched.size(), kRows);
-  for (std::size_t r = 0; r < kRows; ++r) {
-    EXPECT_EQ(batched[r], net.forward(x.row(r))) << "row " << r;
+  for (const auto& topology : topologies) {
+    Mlp net(topology);
+    net.randomize(rng);
+    Mlp::BatchScratch scratch;
+    for (const std::size_t rows : batch_sizes) {
+      Matrix x(rows, topology.front());
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < topology.front(); ++c) x(r, c) = rng.uniform(-1.0, 1.0);
+      }
+      const auto batched = net.forward_batch(x);
+      std::vector<double> reused(rows);
+      net.forward_batch(x, reused, scratch);
+      ASSERT_EQ(batched.size(), rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const double scalar = net.forward(x.row(r));
+        EXPECT_EQ(batched[r], scalar) << "inputs " << topology.front() << " rows " << rows
+                                      << " row " << r;
+        EXPECT_EQ(reused[r], scalar) << "inputs " << topology.front() << " rows " << rows
+                                     << " row " << r;
+      }
+    }
   }
 }
 
@@ -105,6 +122,33 @@ TEST_F(EnsembleBatch, UncertaintyBatchMatchesScalarPath) {
   }
 }
 
+TEST_F(EnsembleBatch, ReusedWorkspaceMatchesFreshCalls) {
+  // One workspace carried across shrinking and growing batches must leave
+  // no trace of the previous shape in the next answer.
+  Rng rng(91);
+  SurrogateEnsemble::BatchWorkspace workspace;
+  for (const std::size_t rows : {46u, 1u, 17u, 46u}) {
+    Matrix x(rows, 3);
+    for (std::size_t r = 0; r < rows; ++r) {
+      x(r, 0) = rng.uniform(0.0, 1.0);
+      x(r, 1) = rng.uniform(0.0, 4.0);
+      x(r, 2) = rng.uniform(-2.0, 2.0);
+    }
+    std::vector<double> means(rows);
+    ensemble_.predict_batch(x, means, workspace);
+    std::vector<SurrogateEnsemble::Prediction> spread(rows);
+    ensemble_.predict_batch_with_uncertainty(x, spread, workspace);
+
+    const auto fresh_means = ensemble_.predict_batch(x);
+    const auto fresh_spread = ensemble_.predict_batch_with_uncertainty(x);
+    for (std::size_t r = 0; r < rows; ++r) {
+      EXPECT_EQ(means[r], fresh_means[r]) << "rows " << rows << " row " << r;
+      EXPECT_EQ(spread[r].mean, fresh_spread[r].mean) << "rows " << rows << " row " << r;
+      EXPECT_EQ(spread[r].stddev, fresh_spread[r].stddev) << "rows " << rows << " row " << r;
+    }
+  }
+}
+
 TEST_F(EnsembleBatch, EmptyBatchIsEmpty) {
   const std::vector<std::vector<double>> no_rows;
   EXPECT_TRUE(ensemble_.predict_batch(no_rows).empty());
@@ -143,11 +187,23 @@ TEST(GaBatched, IdenticalToScalarGa) {
       },
       options);
 
+  const auto cohort = ga_optimize_cohort(
+      space,
+      [&space](std::span<const double> genomes, std::span<double> fitness) {
+        for (std::size_t i = 0; i < fitness.size(); ++i) {
+          fitness[i] = rastrigin_like(genomes.subspan(i * space.size(), space.size()));
+        }
+      },
+      options);
+
   // Same RNG stream, same evaluations, bit-identical trajectory.
-  EXPECT_EQ(scalar.best_point, batched.best_point);
-  EXPECT_EQ(scalar.best_fitness, batched.best_fitness);
-  EXPECT_EQ(scalar.evaluations, batched.evaluations);
-  EXPECT_EQ(scalar.best_history, batched.best_history);
+  for (const auto* other : {&batched, &cohort}) {
+    EXPECT_EQ(scalar.best_point, other->best_point);
+    EXPECT_EQ(scalar.best_fitness, other->best_fitness);
+    EXPECT_EQ(scalar.evaluations, other->evaluations);
+    EXPECT_EQ(scalar.best_history, other->best_history);
+    EXPECT_EQ(scalar.best_point_history, other->best_point_history);
+  }
 }
 
 TEST(GaBatched, ThrowsOnWrongBatchArity) {

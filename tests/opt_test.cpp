@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "opt/baselines.h"
 #include "opt/ga.h"
@@ -111,6 +114,35 @@ TEST(Ga, DeterministicForSeed) {
   const auto b = ga_optimize(mixed_space(), concave, {.seed = 7});
   EXPECT_EQ(a.best_point, b.best_point);
   EXPECT_DOUBLE_EQ(a.best_fitness, b.best_fitness);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(Ga, GoldenRunIsBitExact) {
+  // Bit patterns of a reference run. Any change to the order of RNG draws,
+  // elite comparisons or evaluations moves the answer or the convergence
+  // trace, and every tuned configuration the system reports with it.
+  GaOptions options;
+  options.population = 12;
+  options.generations = 8;
+  options.seed = 2027;
+  const auto result = ga_optimize(mixed_space(), concave, options);
+
+  ASSERT_EQ(result.best_point.size(), 3u);
+  EXPECT_EQ(bits(result.best_point[0]), 0x3ff0000000000000u);  // 1
+  EXPECT_EQ(bits(result.best_point[1]), 0x404d000000000000u);  // 58
+  EXPECT_EQ(bits(result.best_point[2]), 0x3fda4ce3a8c3b6f6u);  // 0.41094295006665449
+  EXPECT_EQ(bits(result.best_fitness), 0xbfa6eeb488d667ffu);   // -0.044789926246451721
+  // 12 initial + 8 generations x 10 offspring (2 elites carried) + 1 final.
+  EXPECT_EQ(result.evaluations, 93u);
+  const std::vector<std::uint64_t> history = {
+      0xbff31e9540877b1bu, 0xbff31e9540877b1bu, 0xbfdfaaa35de799ccu,
+      0xbfdfaaa35de799ccu, 0xbfd758b7d8c8e17au, 0xbfa6eeb488d667ffu,
+      0xbfa6eeb488d667ffu, 0xbfa6eeb488d667ffu, 0xbfa6eeb488d667ffu};
+  ASSERT_EQ(result.best_history.size(), history.size());
+  for (std::size_t g = 0; g < history.size(); ++g) {
+    EXPECT_EQ(bits(result.best_history[g]), history[g]) << "generation " << g;
+  }
 }
 
 TEST(GridSearch, FindsGridOptimum) {
