@@ -35,6 +35,21 @@ inline std::string json_string_array(const std::vector<std::string>& items) {
   return out + "]";
 }
 
+/// False in an ASan/TSan build (GCC's __SANITIZE_* macros or clang's
+/// __has_feature): instrumentation distorts every timing, so perf gates are
+/// skipped there while the correctness gates still run.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+inline constexpr bool kPerfGate = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+inline constexpr bool kPerfGate = false;
+#else
+inline constexpr bool kPerfGate = true;
+#endif
+#else
+inline constexpr bool kPerfGate = true;
+#endif
+
 /// Wall-clock seconds elapsed since t0.
 inline double seconds_since(std::chrono::steady_clock::time_point t0) {
   // det:ok(wall-clock): measuring throughput/latency is this benchmark's purpose

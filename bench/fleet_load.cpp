@@ -801,27 +801,16 @@ int main(int argc, char** argv) {
   // server IO threads to actually run in parallel: on fewer cores a noisy
   // burst's inline-rejected responses are encoded on the victim's core and
   // its p99 measures the scheduler, not the quota.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  constexpr bool kPerfGate = false;  // GCC sanitizer macros
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  constexpr bool kPerfGate = false;  // clang spelling
-#else
-  constexpr bool kPerfGate = true;
-#endif
-#else
-  constexpr bool kPerfGate = true;
-#endif
-  const bool ratio_gate = kPerfGate && std::thread::hardware_concurrency() >= 8;
+  const bool ratio_gate = benchutil::kPerfGate && std::thread::hardware_concurrency() >= 8;
 
   // The 1024-vs-256 QPS ratio needs real parallelism for the same reason the
   // isolation ratio does.
-  const bool scaling_qps_gate = kPerfGate &&
+  const bool scaling_qps_gate = benchutil::kPerfGate &&
                                 std::thread::hardware_concurrency() >= 8 &&
                                 !smoke;
 
   std::vector<std::string> gates_skipped;
-  if (!kPerfGate) gates_skipped.push_back("perf");
+  if (!benchutil::kPerfGate) gates_skipped.push_back("perf");
   if (!ratio_gate) gates_skipped.push_back("isolation_p99_ratio");
   if (!scaling_qps_gate) gates_skipped.push_back("connection_scaling_qps_ratio");
   write_json(out_path, replay, isolation, scaling, smoke, gates_skipped);

@@ -431,12 +431,12 @@ int main(int argc, char** argv) {
   const bool g_quality = pruned.mean_measured >= 0.99 * fixed5.mean_measured;
   const bool g_samples = pruned.mean_evals_to_quality < naive22.mean_evals_to_quality;
   const bool g_active = pruned.genome_dims >= 3 && pruned.genome_dims <= 8;
-  bool g_canonical = true;  // no redundant knob may ever be active
-  for (auto id : pruned.active_ids) {
-    if (engine::param_spec(id).redundant_with != engine::ParamId::kCount) {
-      g_canonical = false;
-    }
-  }
+  // No redundant knob may ever be active.
+  const auto redundant_active = std::count_if(
+      pruned.active_ids.begin(), pruned.active_ids.end(), [](engine::ParamId id) {
+        return engine::param_spec(id).redundant_with != engine::ParamId::kCount;
+      });
+  const bool g_canonical = redundant_active == 0;
   const bool g_observed = pruned.tune.observations >= pruned.replay_windows;
   const std::vector<std::pair<std::string, bool>> gates = {
       {"tuned_tput_ge_fixed5", g_quality},
@@ -449,11 +449,19 @@ int main(int argc, char** argv) {
 
   write_json(out_path, arms, deterministic, smoke, gates);
 
-  bool pass = true;
-  for (const auto& [name, ok] : gates) {
-    if (!ok) std::printf("GATE FAIL: %s\n", name.c_str());
-    pass = pass && ok;
-  }
-  std::printf("\nknob_ablation: %s\n", pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  benchutil::Gates verdict;
+  verdict.check(g_quality, "tuned_tput_ge_fixed5", Table::ops(pruned.mean_measured),
+                ">= 0.99 x fixed-5 " + Table::ops(fixed5.mean_measured));
+  verdict.check(g_samples, "fewer_evals_than_naive22",
+                Table::num(pruned.mean_evals_to_quality, 0),
+                "< naive-22 " + Table::num(naive22.mean_evals_to_quality, 0));
+  verdict.check(g_active, "active_set_within_bounds",
+                std::to_string(pruned.genome_dims) + " dims", "3..8 dims");
+  verdict.check(g_canonical, "no_redundant_knob_active",
+                std::to_string(redundant_active) + " redundant", "== 0");
+  verdict.check(g_observed, "screen_fed_by_replay",
+                std::to_string(pruned.tune.observations) + " observations",
+                ">= " + std::to_string(pruned.replay_windows) + " replay windows");
+  verdict.check(deterministic, "deterministic", "rerun differs", "bit-identical rerun");
+  return verdict.verdict("knob_ablation", {});
 }

@@ -216,10 +216,9 @@ MixedResult mixed_load(const core::Rafiki& rafiki, std::size_t shards,
   server.stop();
 
   MixedResult result;
-  const auto predict = service->endpoint_counters(serve::Endpoint::kPredict);
-  const auto observe = service->endpoint_counters(serve::Endpoint::kObserveWindow);
-  result.predicts = predict.completed;
-  result.windows = observe.completed;
+  const auto telemetry = service->telemetry();
+  result.predicts = telemetry.counters(serve::Endpoint::kPredict).completed;
+  result.windows = telemetry.counters(serve::Endpoint::kObserveWindow).completed;
   for (auto f : failed) result.failed += f;
   for (auto s : stale) result.stale_windows += s;
   result.versions_published = service->model_version();

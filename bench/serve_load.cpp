@@ -98,15 +98,6 @@ struct RegimeResult {
   double retrain_mean_us = 0.0;  // what each miss *would* have cost inline
 };
 
-/// Post-run accounting for one shard (or the single unsharded service).
-struct ShardMetrics {
-  std::uint64_t requests = 0;      // Predict completions on this shard
-  std::size_t workers = 0;         // budgeted worker threads
-  double cpu_s = 0.0;              // worker CPU time (exact: read post-join)
-  double mean_queue_depth = 0.0;   // sampled at each admission
-  double max_queue_depth = 0.0;
-};
-
 struct ScalingResult {
   std::size_t shards = 0;
   std::size_t workers = 0;  // fleet-wide resolved worker budget
@@ -117,7 +108,9 @@ struct ScalingResult {
   double speedup64 = 0.0;
   std::uint64_t failed = 0;
   std::uint64_t spills = 0;
-  std::vector<ShardMetrics> per_shard;
+  /// Post-run load rows (the unsharded service is one row); read after
+  /// stop(), so worker CPU time is exact.
+  std::vector<serve::ShardLoad> per_shard;
 };
 
 struct ParityResult {
@@ -144,13 +137,6 @@ std::vector<engine::Config> random_configs(std::size_t n, Rng& rng) {
     configs.push_back(config);
   }
   return configs;
-}
-
-std::uint64_t backend_spills(const serve::TuningBackend& backend) {
-  if (const auto* sharded = dynamic_cast<const serve::ShardedTuningService*>(&backend)) {
-    return sharded->spills();
-  }
-  return 0;
 }
 
 MicroResult micro_bench(const core::Rafiki& rafiki, std::size_t batch, std::size_t rows,
@@ -238,14 +224,14 @@ LoadResult load_bench(const core::Rafiki& rafiki, std::size_t shards, std::size_
   result.clients = clients;
   result.max_batch = max_batch;
   result.shards = shards;
-  const auto counters = service->endpoint_counters(serve::Endpoint::kPredict);
-  result.ok = counters.ok;
+  const auto telemetry = service->telemetry();
+  result.ok = telemetry.counters(serve::Endpoint::kPredict).ok;
   for (auto f : failed) result.failed += f;
-  result.qps = static_cast<double>(counters.ok) / elapsed;
-  result.p50_us = service->endpoint_latency_quantile(serve::Endpoint::kPredict, 0.5);
-  result.p99_us = service->endpoint_latency_quantile(serve::Endpoint::kPredict, 0.99);
-  result.mean_batch = service->mean_batch_size();
-  result.spills = backend_spills(*service);
+  result.qps = static_cast<double>(result.ok) / elapsed;
+  result.p50_us = telemetry.latency_quantile(serve::Endpoint::kPredict, 0.5);
+  result.p99_us = telemetry.latency_quantile(serve::Endpoint::kPredict, 0.99);
+  result.mean_batch = telemetry.mean_batch_size();
+  result.spills = telemetry.spills;
   return result;
 }
 
@@ -328,22 +314,19 @@ RegimeResult regime_bench(const core::Rafiki& rafiki, std::size_t shards,
   service->wait_retrain_idle();
 
   RegimeResult result;
-  const auto predict = service->endpoint_counters(serve::Endpoint::kPredict);
-  const auto observe = service->endpoint_counters(serve::Endpoint::kObserveWindow);
-  result.predicts = predict.completed;
-  result.windows = observe.completed;
+  const auto telemetry = service->telemetry();
+  result.predicts = telemetry.counters(serve::Endpoint::kPredict).completed;
+  result.windows = telemetry.counters(serve::Endpoint::kObserveWindow).completed;
   for (auto f : failed) result.failed += f;
   for (auto s : stale) result.stale_windows += s;
-  const auto retrain = service->retrain_counters();
-  result.retrain_runs = retrain.runs;
-  result.retrain_coalesced = retrain.coalesced;
+  result.retrain_runs = telemetry.retrain.runs;
+  result.retrain_coalesced = telemetry.retrain.coalesced;
   result.versions_published = service->model_version();
   const auto snapshot = service->snapshot();
   result.tuned_buckets = snapshot ? snapshot->tuned.size() : 0;
-  result.predict_p99_us = service->endpoint_latency_quantile(serve::Endpoint::kPredict, 0.99);
-  result.observe_p99_us =
-      service->endpoint_latency_quantile(serve::Endpoint::kObserveWindow, 0.99);
-  result.retrain_mean_us = service->mean_retrain_latency_us();
+  result.predict_p99_us = telemetry.latency_quantile(serve::Endpoint::kPredict, 0.99);
+  result.observe_p99_us = telemetry.latency_quantile(serve::Endpoint::kObserveWindow, 0.99);
+  result.retrain_mean_us = telemetry.mean_retrain_latency_us();
   service->stop();
   return result;
 }
@@ -434,14 +417,16 @@ RebalanceResult rebalance_bench(const core::Rafiki& rafiki, std::size_t clients,
   RebalanceResult result;
   result.requests = clients * calls_per_client;
   for (auto f : failed) result.failed += f;
-  result.rebalances = service.rebalances();
-  result.spills = service.spills();
+  const auto telemetry = service.telemetry();
+  result.rebalances = telemetry.rebalances;
+  result.spills = telemetry.spills;
   result.route_changed =
       service.shard_of_band(20) != 0 || service.shard_of_band(80) != 0;
   // The merged completed count must account for every submitted request —
   // nothing lost across migrations.
-  const auto totals = service.merged_totals();
-  if (totals.completed != result.requests) result.failed += result.requests;
+  std::uint64_t completed = 0;
+  for (const auto& endpoint : telemetry.endpoints) completed += endpoint.counters.completed;
+  if (completed != result.requests) result.failed += result.requests;
   return result;
 }
 
@@ -511,29 +496,6 @@ double closed_loop_qps(serve::TuningBackend& service, std::size_t concurrency,
                        : 0.0;
 }
 
-/// Per-shard accounting, read after stop() (worker CPU time is exact only
-/// post-join). The unsharded service reports itself as one shard.
-std::vector<ShardMetrics> collect_shard_metrics(const serve::TuningBackend& backend) {
-  const auto of_service = [](const serve::TuningService& service) {
-    ShardMetrics m;
-    m.requests = service.stats().counters(serve::Endpoint::kPredict).completed;
-    m.workers = service.worker_count();
-    m.cpu_s = static_cast<double>(service.worker_cpu_us()) / 1e6;
-    m.mean_queue_depth = service.stats().mean_queue_depth();
-    m.max_queue_depth = service.stats().max_queue_depth();
-    return m;
-  };
-  std::vector<ShardMetrics> out;
-  if (const auto* sharded = dynamic_cast<const serve::ShardedTuningService*>(&backend)) {
-    for (std::size_t i = 0; i < sharded->shard_count(); ++i) {
-      out.push_back(of_service(sharded->shard(i)));
-    }
-  } else if (const auto* single = dynamic_cast<const serve::TuningService*>(&backend)) {
-    out.push_back(of_service(*single));
-  }
-  return out;
-}
-
 ScalingResult scaling_bench(const core::Rafiki& rafiki, std::size_t n_shards,
                             std::uint64_t calls1, std::uint64_t total64,
                             std::uint64_t total256) {
@@ -547,13 +509,6 @@ ScalingResult scaling_bench(const core::Rafiki& rafiki, std::size_t n_shards,
 
   ScalingResult result;
   result.shards = n_shards;
-  if (const auto* sharded =
-          dynamic_cast<const serve::ShardedTuningService*>(service.get())) {
-    result.workers = sharded->resolved_worker_budget();
-  } else if (const auto* single =
-                 dynamic_cast<const serve::TuningService*>(service.get())) {
-    result.workers = single->worker_count();
-  }
 
   // Route warm-up: one untimed request per band primes every shard's worker
   // pool, queue, snapshot deref, and stats stripes. The 1-client row used to
@@ -569,9 +524,11 @@ ScalingResult scaling_bench(const core::Rafiki& rafiki, std::size_t n_shards,
   result.clients1_qps = closed_loop_qps(*service, 1, calls1, result.failed);
   result.clients64_qps = closed_loop_qps(*service, 64, total64, result.failed);
   result.clients256_qps = closed_loop_qps(*service, 256, total256, result.failed);
-  result.spills = backend_spills(*service);
   service->stop();
-  result.per_shard = collect_shard_metrics(*service);
+  const auto telemetry = service->telemetry();
+  result.spills = telemetry.spills;
+  result.per_shard = telemetry.shards;
+  for (const auto& shard : result.per_shard) result.workers += shard.workers;
   return result;
 }
 
@@ -649,8 +606,9 @@ void write_json(const std::string& path, const std::vector<MicroResult>& micro,
       std::fprintf(out,
                    "{\"requests\": %llu, \"workers\": %zu, \"cpu_s\": %.3f, "
                    "\"mean_queue_depth\": %.2f, \"max_queue_depth\": %.0f}%s",
-                   static_cast<unsigned long long>(p.requests), p.workers, p.cpu_s,
-                   p.mean_queue_depth, p.max_queue_depth,
+                   static_cast<unsigned long long>(p.predict_completed), p.workers,
+                   static_cast<double>(p.worker_cpu_us) / 1e6, p.mean_queue_depth,
+                   p.max_queue_depth,
                    j + 1 < s.per_shard.size() ? ", " : "");
     }
     std::fprintf(out, "]}%s\n", i + 1 < scaling.size() ? "," : "");
@@ -810,7 +768,7 @@ int main(int argc, char** argv) {
   for (const auto& s : scaling) {
     std::string split;
     for (std::size_t j = 0; j < s.per_shard.size(); ++j) {
-      split += (j > 0 ? "/" : "") + std::to_string(s.per_shard[j].requests);
+      split += (j > 0 ? "/" : "") + std::to_string(s.per_shard[j].predict_completed);
     }
     benchutil::note(std::to_string(s.shards) + " shard(s): requests per shard = " +
                     split);
@@ -835,80 +793,101 @@ int main(int argc, char** argv) {
 
   // Sanitizer builds run this as a concurrency smoke: correctness gates
   // (bitwise equality, zero failures) still apply, but the speedup bars are
-  // only meaningful without instrumentation overhead.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  constexpr bool kPerfGate = false;  // GCC sanitizer macros
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  constexpr bool kPerfGate = false;  // clang spelling
-#else
-  constexpr bool kPerfGate = true;
-#endif
-#else
-  constexpr bool kPerfGate = true;
-#endif
+  // only meaningful without instrumentation overhead (benchutil::kPerfGate).
   // The shard-scaling bars additionally need 8 hardware threads for the
   // shards to run on; on smaller machines the sweep still runs (and its
   // numbers are recorded) but the ratios are not gated.
-  const bool scaling_gate = kPerfGate && std::thread::hardware_concurrency() >= 8;
+  const bool scaling_gate = benchutil::kPerfGate && std::thread::hardware_concurrency() >= 8;
 
   // What the recorded numbers were NOT held to, so a BENCH_serve.json from a
   // sanitizer build or a small machine is self-describing.
   std::vector<std::string> gates_skipped;
-  if (!kPerfGate) gates_skipped.push_back("perf");
-  if (kPerfGate && std::thread::hardware_concurrency() < 2) {
+  if (!benchutil::kPerfGate) gates_skipped.push_back("perf");
+  if (benchutil::kPerfGate && std::thread::hardware_concurrency() < 2) {
     gates_skipped.push_back("offpath_retrain");
   }
   if (!scaling_gate) gates_skipped.push_back("shard_scaling");
   write_json(out_path, micro, load, swap, regime, scaling, parity, rebalance, smoke,
              shards, gates_skipped);
 
-  bool pass = (!kPerfGate || accept.speedup >= 4.0) && swap.failed == 0;
-  for (const auto& m : micro) pass = pass && m.bitwise_equal;
-  for (const auto& l : load) pass = pass && l.failed == 0;
+  const auto count = [](std::uint64_t n) { return std::to_string(n); };
+  benchutil::Gates gates;
+  if (benchutil::kPerfGate) {
+    gates.check(accept.speedup >= 4.0, "A predict_batch(32) speedup",
+                Table::num(accept.speedup, 2) + "x", ">= 4x");
+  }
+  for (const auto& m : micro) {
+    gates.check(m.bitwise_equal, "A batch " + std::to_string(m.batch) + " bitwise equal",
+                "differs", "bit-identical");
+  }
+  for (const auto& l : load) {
+    gates.check(l.failed == 0,
+                "B failed calls (" + std::to_string(l.clients) + " clients, max batch " +
+                    std::to_string(l.max_batch) + ")",
+                count(l.failed), "== 0");
+  }
+  gates.check(swap.failed == 0, "C failed calls during swaps", count(swap.failed), "== 0");
   // Phase D structural gates (always on): nothing fails across background
   // republishes, cache-miss windows are answered stale-marked instead of
   // blocking on the GA, and the tuned configs show up in later snapshot
   // versions.
-  pass = pass && regime.failed == 0;
-  pass = pass && regime.stale_windows >= 1;
-  pass = pass && regime.retrain_runs >= 1;
-  pass = pass && regime.tuned_buckets >= 1;
-  pass = pass && regime.versions_published > 1;
+  gates.check(regime.failed == 0, "D failed calls", count(regime.failed), "== 0");
+  gates.check(regime.stale_windows >= 1, "D stale-served windows",
+              count(regime.stale_windows), ">= 1");
+  gates.check(regime.retrain_runs >= 1, "D background retrain runs",
+              count(regime.retrain_runs), ">= 1");
+  gates.check(regime.tuned_buckets >= 1, "D tuned buckets in final snapshot",
+              count(regime.tuned_buckets), ">= 1");
+  gates.check(regime.versions_published > 1, "D snapshot versions",
+              count(regime.versions_published), "> 1");
   // Perf gates: serving a window must be far cheaper than the GA it no
   // longer runs inline, and the adaptive batcher must keep a lone batched
   // client at sub-millisecond p99 (both distorted by sanitizers). The
   // off-path-retrain bar additionally needs a core for the background
   // thread to run on — with a single hardware thread the GA preempts the
   // request worker and the tail absorbs it regardless of architecture.
-  if (kPerfGate && std::thread::hardware_concurrency() >= 2) {
-    pass = pass && regime.observe_p99_us < regime.retrain_mean_us;
+  if (benchutil::kPerfGate && std::thread::hardware_concurrency() >= 2) {
+    gates.check(regime.observe_p99_us < regime.retrain_mean_us, "D ObserveWindow p99",
+                Table::num(regime.observe_p99_us, 1) + " us",
+                "< retrain mean " + Table::num(regime.retrain_mean_us, 1) + " us");
   }
-  if (kPerfGate) pass = pass && single_batched->p99_us < 1000.0;
+  if (benchutil::kPerfGate) {
+    gates.check(single_batched->p99_us < 1000.0, "B single-client batched p99",
+                Table::num(single_batched->p99_us, 1) + " us", "< 1000 us");
+  }
   // Sharding gates: structural ones always on (zero failures, parity,
-  // a real migration); the >= 4x scaling ratio only where 8 clients can
+  // a real migration); the scaling ratios only where 8 clients can
   // actually run in parallel.
-  for (const auto& s : scaling) pass = pass && s.failed == 0;
-  pass = pass && parity.sharded_equals_unsharded && parity.unsharded_equals_scalar;
-  pass = pass && rebalance.failed == 0 && rebalance.rebalances >= 1 &&
-         rebalance.route_changed;
+  for (const auto& s : scaling) {
+    gates.check(s.failed == 0, "E failed calls (" + std::to_string(s.shards) + " shards)",
+                count(s.failed), "== 0");
+  }
+  gates.check(parity.sharded_equals_unsharded && parity.unsharded_equals_scalar,
+              "E sharded == unsharded == scalar predictions", "differs", "bit-identical");
+  gates.check(rebalance.failed == 0, "F failed or lost calls", count(rebalance.failed),
+              "== 0");
+  gates.check(rebalance.rebalances >= 1 && rebalance.route_changed, "F migrations",
+              count(rebalance.rebalances) +
+                  (rebalance.route_changed ? ", route migrated" : ", route unchanged"),
+              ">= 1, route migrated");
   if (scaling_gate) {
     // No-regression bar (smoke and full, the CI assertion): no shard count
     // may fall below 0.9x the unsharded 64-client throughput — the exact
     // de-scaling the fleet worker budget removed.
-    for (const auto& s : scaling) pass = pass && s.speedup64 >= 0.9;
+    for (const auto& s : scaling) {
+      gates.check(s.speedup64 >= 0.9,
+                  "E " + std::to_string(s.shards) + "-shard 64-client QPS vs 1 shard",
+                  Table::num(s.speedup64, 2) + "x", ">= 0.9x");
+    }
     // Full-profile bar: 4 shards reach >= 3x unsharded at 64 clients.
     if (!smoke) {
-      bool scaled = false;
+      double four = 0.0;
       for (const auto& s : scaling) {
-        if (s.shards == 4 && s.speedup64 >= 3.0) scaled = true;
+        if (s.shards == 4) four = s.speedup64;
       }
-      pass = pass && scaled;
+      gates.check(four >= 3.0, "E 4-shard 64-client QPS vs 1 shard",
+                  Table::num(four, 2) + "x", ">= 3x");
     }
   }
-  std::printf("\nserve_load: %s%s%s\n", pass ? "PASS" : "FAIL",
-              kPerfGate ? "" : " (perf gates skipped: sanitizer build)",
-              scaling_gate ? ""
-                           : " (scaling gate skipped: < 8 hardware threads)");
-  return pass ? 0 : 1;
+  return gates.verdict("serve_load", gates_skipped);
 }

@@ -1,6 +1,7 @@
 // The serving-plane surface shared by the single TuningService and the
-// ShardedTuningService router: snapshot publication, request submission, and
-// lifecycle. Front-ends (net::Server, rafiki_serverd, the load benches)
+// ShardedTuningService router (and the TenantFleet, which is a router):
+// snapshot publication, request submission, lifecycle, and one merged
+// Telemetry value. Front-ends (net::Server, rafiki_serverd, the load benches)
 // program against this interface so a process can swap between one service
 // and an N-shard fleet with a flag.
 #pragma once
@@ -14,7 +15,6 @@
 #include "serve/stats.h"
 #include "serve/types.h"
 #include "util/func.h"
-#include "util/table.h"
 
 namespace rafiki::core {
 class OnlineTuner;
@@ -38,21 +38,11 @@ class TuningBackend {
   /// snapshot they already resolved; new requests see this one. Safe to call
   /// from any thread, including while serving.
   virtual std::uint64_t publish(ModelSnapshot snapshot) = 0;
-  /// Currently published snapshot (null before the first publish).
-  virtual std::shared_ptr<const ModelSnapshot> snapshot() const = 0;
-  virtual std::uint64_t model_version() const = 0;
-
-  /// Per-tenant views. Tenant 0 is the default namespace, so for a
-  /// single-tenant backend these are the plain snapshot()/model_version();
-  /// backends without tenant slots serve every tenant from the same slot.
-  virtual std::shared_ptr<const ModelSnapshot> tenant_snapshot(TenantId tenant) const {
-    (void)tenant;
-    return snapshot();
-  }
-  virtual std::uint64_t tenant_model_version(TenantId tenant) const {
-    (void)tenant;
-    return model_version();
-  }
+  /// A tenant namespace's currently published snapshot (null before the
+  /// first publish, or for a tenant the backend does not serve) and its
+  /// version (0 then). Tenant 0 is the default namespace.
+  virtual std::shared_ptr<const ModelSnapshot> tenant_snapshot(TenantId tenant) const = 0;
+  virtual std::uint64_t tenant_model_version(TenantId tenant) const = 0;
 
   /// Enables the ObserveWindow endpoint by wiring the tuner (which must
   /// outlive this backend) to the background retrain machinery and the
@@ -71,26 +61,24 @@ class TuningBackend {
 
   /// Telemetry sink for wire-level front-ends. For a sharded backend this is
   /// the router-level stats object (wire telemetry is per-process, not
-  /// per-shard); request-path counters live in the shards and are merged by
-  /// stats_table(). ServiceStats is internally synchronized and lock-free on
-  /// the record path.
+  /// per-shard); request-path counters live in the shards. ServiceStats is
+  /// internally synchronized and lock-free on the record path.
   virtual ServiceStats& stats() noexcept = 0;
   virtual const ServiceStats& stats() const noexcept = 0;
-  /// Per-endpoint summary table; merge-on-read across shards for a sharded
-  /// backend, identical layout either way.
-  virtual Table stats_table() const = 0;
-
-  /// Numeric merged telemetry (benches and gates read these; for a sharded
-  /// backend they fold every shard's striped stats on each call).
-  virtual ServiceStats::Counters endpoint_counters(Endpoint endpoint) const = 0;
-  virtual ServiceStats::RetrainCounters retrain_counters() const = 0;
-  virtual double endpoint_latency_quantile(Endpoint endpoint, double q) const = 0;
-  virtual double mean_batch_size() const = 0;
-  virtual double mean_retrain_latency_us() const = 0;
+  /// Everything the backend has recorded, merged into one value (see
+  /// Telemetry): the same fold and the same table layout for one service
+  /// and for a sharded router.
+  virtual Telemetry telemetry() const = 0;
 
   /// Blocks until background retrain work is idle — the barrier tests and
   /// benches use to observe the post-republish state.
   virtual void wait_retrain_idle() = 0;
+
+  /// Tenant 0's snapshot and version (the single-tenant view).
+  std::shared_ptr<const ModelSnapshot> snapshot() const { return tenant_snapshot(0); }
+  std::uint64_t model_version() const { return tenant_model_version(0); }
+  /// Rows per Predict micro-batch across the whole backend.
+  double mean_batch_size() const { return telemetry().mean_batch_size(); }
 
   /// Future-style submission over try_submit. Admission control resolves
   /// immediately: the returned future is already satisfied with the verdict

@@ -99,11 +99,6 @@ std::uint64_t TuningService::publish_locked(TenantId tenant, ModelSnapshot snaps
   return version;
 }
 
-std::uint64_t TuningService::model_version() const {
-  const auto snapshot = registries_[0].get();
-  return snapshot ? snapshot->version : 0;
-}
-
 std::uint64_t TuningService::tenant_model_version(TenantId tenant) const {
   const auto snapshot = tenant_snapshot(tenant);
   return snapshot ? snapshot->version : 0;
@@ -214,6 +209,24 @@ void TuningService::stop() {
     response.status = Status::kShuttingDown;
     finish(*job, response);
   }
+}
+
+Telemetry TuningService::telemetry() const {
+  Telemetry out(options_.stats);
+  fold_into(out);
+  return out;
+}
+
+void TuningService::fold_into(Telemetry& out) const {
+  stats_.fold_into(out);
+  ShardLoad load;
+  load.predict_completed = stats_.counters(Endpoint::kPredict).completed;
+  load.workers = options_.workers;
+  load.worker_cpu_us = worker_cpu_us_.load(std::memory_order_relaxed);
+  load.mean_queue_depth = stats_.mean_queue_depth();
+  load.max_queue_depth = stats_.max_queue_depth();
+  load.retrain_depth = retrain_.depth();
+  out.shards.push_back(load);
 }
 
 void TuningService::worker_loop(std::size_t worker_index) {

@@ -106,12 +106,6 @@ class TuningService : public TuningBackend {
   /// (each slot stamps its own version); returns tenant 0's new version.
   std::uint64_t publish(ModelSnapshot snapshot) override;
 
-  /// Tenant 0's currently published snapshot (null before the first publish).
-  std::shared_ptr<const ModelSnapshot> snapshot() const override {
-    return registries_[0].get();
-  }
-  std::uint64_t model_version() const override;
-
   /// Per-tenant views (null / 0 for an out-of-range tenant).
   std::shared_ptr<const ModelSnapshot> tenant_snapshot(TenantId tenant) const override {
     return tenant < registries_.size() ? registries_[tenant].get() : nullptr;
@@ -126,37 +120,23 @@ class TuningService : public TuningBackend {
   /// start().
   void attach_tuner(core::OnlineTuner& tuner) override;
 
-  /// Shard-fleet variant of attach_tuner: makes the shared tuner visible to
-  /// this service's ObserveWindow path WITHOUT claiming the tuner's
-  /// single-slot publish / async-optimize hooks. The ShardedTuningService
-  /// installs fan-out hooks once at the router and then binds the tuner to
-  /// every shard through this. Binds tenant 0.
-  void bind_tuner(core::OnlineTuner& tuner) { bind_tenant_tuner(0, tuner); }
-
-  /// Binds the tuner serving one tenant namespace (the tenant fleet owns one
-  /// OnlineTuner per tenant and binds each to every shard). Pointer only —
-  /// the tuner's single-slot hooks stay with whoever installed them.
+  /// Makes a tuner visible to one tenant's ObserveWindow path WITHOUT
+  /// claiming the tuner's single-slot publish / async-optimize hooks: the
+  /// sharded router installs fan-out hooks once and then binds the tuner to
+  /// every shard through this. Pointer only.
   void bind_tenant_tuner(TenantId tenant, core::OnlineTuner& tuner);
 
-  /// Directly enqueues a background retrain for tenant 0's `bucket` on this
-  /// service's RetrainWorker (the router's async-optimize fan-out target).
-  void enqueue_retrain(int bucket, double read_ratio) {
-    retrain_.enqueue(retrain_key(0, bucket), read_ratio);
-  }
-  /// Tenant-qualified retrain: coalesces within the tenant's own key-space,
-  /// never against another tenant's run for the same bucket.
+  /// Enqueues a background retrain for `tenant`'s `bucket` on this service's
+  /// RetrainWorker (the router's async-optimize fan-out target). Coalesces
+  /// within the tenant's own key-space, never across tenants.
   void enqueue_retrain(TenantId tenant, int bucket, double read_ratio) {
     retrain_.enqueue(retrain_key(tenant, bucket), read_ratio);
   }
 
-  /// Publishes one tuned (bucket -> config) entry into tenant 0's slot by
-  /// copy-on-write republication of its current snapshot. The single-service
-  /// publish hook and the sharded router's fan-out both land here.
-  void publish_tuned(int bucket, const engine::Config& config, double predicted) {
-    publish_tuned(0, bucket, config, predicted);
-  }
-  /// Tenant-qualified variant: only `tenant`'s slot is republished; every
-  /// other tenant's served snapshot (pointer, version, configs) is untouched.
+  /// Publishes one tuned (bucket -> config) entry into `tenant`'s slot by
+  /// copy-on-write republication of its current snapshot; every other
+  /// tenant's served snapshot (pointer, version, configs) is untouched. The
+  /// single-service publish hook and the sharded router's fan-out land here.
   void publish_tuned(TenantId tenant, int bucket, const engine::Config& config,
                      double predicted);
 
@@ -184,30 +164,14 @@ class TuningService : public TuningBackend {
   /// wire-level telemetry into the same sink. ServiceStats is internally
   /// synchronized (lock-free striped atomics).
   ServiceStats& stats() noexcept override { return stats_; }
-  Table stats_table() const override { return stats_.table(); }
-  ServiceStats::Counters endpoint_counters(Endpoint endpoint) const override {
-    return stats_.counters(endpoint);
-  }
-  ServiceStats::RetrainCounters retrain_counters() const override {
-    return stats_.retrain_counters();
-  }
-  double endpoint_latency_quantile(Endpoint endpoint, double q) const override {
-    return stats_.latency_quantile(endpoint, q);
-  }
-  double mean_batch_size() const override { return stats_.mean_batch_size(); }
-  double mean_retrain_latency_us() const override { return stats_.mean_retrain_latency_us(); }
-  std::size_t queue_depth() const { return queue_.size(); }
+  /// This service's stats folded into a one-row shard list.
+  Telemetry telemetry() const override;
+  /// Adds this service's stats and its load row to `out` — the fold the
+  /// router repeats for each of its shards.
+  void fold_into(Telemetry& out) const;
   /// Planned worker-pool size (ServiceOptions::workers after any router
   /// budgeting) — the number start() spawns.
   std::size_t worker_count() const noexcept { return options_.workers; }
-  /// Total CPU time burned by worker threads that have exited, in
-  /// microseconds. Exact only after stop() has joined the pool; the bench's
-  /// per-shard CPU accounting reads it post-drain.
-  std::uint64_t worker_cpu_us() const noexcept {
-    return worker_cpu_us_.load(std::memory_order_relaxed);
-  }
-  /// Retrain tasks queued behind the background worker.
-  std::size_t retrain_depth() const { return retrain_.depth(); }
   /// Blocks until the background retrain worker is idle — the barrier tests
   /// and benches use to observe the post-republish state.
   void wait_retrain_idle() override { retrain_.wait_idle(); }

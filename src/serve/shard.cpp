@@ -99,14 +99,6 @@ std::uint64_t ShardedTuningService::publish(ModelSnapshot snapshot) {
   return version;
 }
 
-std::shared_ptr<const ModelSnapshot> ShardedTuningService::snapshot() const {
-  return shards_.front()->snapshot();
-}
-
-std::uint64_t ShardedTuningService::model_version() const {
-  return shards_.front()->model_version();
-}
-
 std::shared_ptr<const ModelSnapshot> ShardedTuningService::tenant_snapshot(
     TenantId tenant) const {
   return shards_.front()->tenant_snapshot(tenant);
@@ -283,72 +275,13 @@ std::size_t ShardedTuningService::resolved_worker_budget() const noexcept {
   return total;
 }
 
-ServiceStats::Counters ShardedTuningService::endpoint_counters(Endpoint endpoint) const {
-  ServiceStats::Counters sum;
-  for (const auto& shard : shards_) sum.merge(shard->stats().counters(endpoint));
-  return sum;
-}
-
-ServiceStats::Counters ShardedTuningService::merged_totals() const {
-  ServiceStats::Counters sum;
-  for (const auto& shard : shards_) sum.merge(shard->stats().totals());
-  return sum;
-}
-
-ServiceStats::RetrainCounters ShardedTuningService::retrain_counters() const {
-  ServiceStats::RetrainCounters sum;
-  for (const auto& shard : shards_) {
-    const auto per = shard->stats().retrain_counters();
-    sum.runs += per.runs;
-    sum.coalesced += per.coalesced;
-    sum.rejected += per.rejected;
-    sum.cancelled += per.cancelled;
-  }
-  return sum;
-}
-
-double ShardedTuningService::endpoint_latency_quantile(Endpoint endpoint, double q) const {
-  auto agg = router_stats_.endpoint_aggregate(endpoint);
-  for (const auto& shard : shards_) agg.merge(shard->stats().endpoint_aggregate(endpoint));
-  return agg.latency.quantile(q);
-}
-
-double ShardedTuningService::mean_batch_size() const {
-  // Weight each shard's mean by its batch count: total predicted rows over
-  // total batches, same definition as the single-service counter.
-  double rows = 0.0;
-  double batches = 0.0;
-  for (const auto& shard : shards_) {
-    const auto n = static_cast<double>(shard->stats().batches());
-    rows += shard->stats().mean_batch_size() * n;
-    batches += n;
-  }
-  return batches > 0.0 ? rows / batches : 0.0;
-}
-
-double ShardedTuningService::mean_retrain_latency_us() const {
-  double total = 0.0;
-  double runs = 0.0;
-  for (const auto& shard : shards_) {
-    const auto n = static_cast<double>(shard->stats().retrain_counters().runs);
-    total += shard->stats().mean_retrain_latency_us() * n;
-    runs += n;
-  }
-  return runs > 0.0 ? total / runs : 0.0;
-}
-
-Table ShardedTuningService::stats_table() const {
-  std::vector<ServiceStats::EndpointAggregate> aggs;
-  aggs.reserve(kEndpointCount);
-  for (std::size_t i = 0; i < kEndpointCount; ++i) {
-    const auto endpoint = static_cast<Endpoint>(i);
-    // The router stats object contributes the wire-side view (and zeros for
-    // the request-path counters it never records).
-    auto agg = router_stats_.endpoint_aggregate(endpoint);
-    for (const auto& shard : shards_) agg.merge(shard->stats().endpoint_aggregate(endpoint));
-    aggs.push_back(std::move(agg));
-  }
-  return ServiceStats::table_of(aggs);
+Telemetry ShardedTuningService::telemetry() const {
+  Telemetry out(options_.service.stats);
+  router_stats_.fold_into(out);
+  for (const auto& shard : shards_) shard->fold_into(out);
+  out.spills = spills();
+  out.rebalances = rebalances();
+  return out;
 }
 
 }  // namespace rafiki::serve

@@ -38,9 +38,14 @@
 //     shard versions advance in lockstep and a spilled request reads the
 //     same model it would have read at home.
 //   * Stats merge-on-read — request-path telemetry stays in the shards'
-//     striped ServiceStats; stats_table() folds the per-endpoint aggregates
-//     of every shard (plus the router's wire-level stats object) into one
-//     table with the exact layout of the unsharded service.
+//     striped ServiceStats; telemetry() runs the one ServiceStats fold over
+//     the router's wire-level stats object and then every shard, so the
+//     merged value (and its table) has the exact layout of the unsharded
+//     service's, plus one load row per shard.
+//
+// tenant::TenantFleet derives from this router and overrides only
+// try_submit (tenant admission in front of routing); everything else here
+// serves a fleet unchanged.
 #pragma once
 
 #include <array>
@@ -124,15 +129,13 @@ class ShardedTuningService : public TuningBackend {
   /// Fans the snapshot out to every shard under one mutex; shard versions
   /// advance in lockstep. Returns the (common) new version.
   std::uint64_t publish(ModelSnapshot snapshot) override;
-  std::shared_ptr<const ModelSnapshot> snapshot() const override;
-  std::uint64_t model_version() const override;
   std::shared_ptr<const ModelSnapshot> tenant_snapshot(TenantId tenant) const override;
   std::uint64_t tenant_model_version(TenantId tenant) const override;
 
   /// Claims the shared tuner's single-slot hooks for the router: tuned
   /// configs fan out to every shard's snapshot, async optimizations route to
   /// the owning shard's RetrainWorker; every shard gets the tuner bound
-  /// (bind_tuner) for its ObserveWindow path. Equivalent to
+  /// (bind_tenant_tuner) for its ObserveWindow path. Equivalent to
   /// attach_tenant_tuner(0, tuner).
   void attach_tuner(core::OnlineTuner& tuner) override;
 
@@ -153,15 +156,14 @@ class ShardedTuningService : public TuningBackend {
   void start() override;
   void stop() override;
 
-  /// Router-level stats: wire telemetry (net::Server records here) plus
-  /// nothing on the request path — request counters live in the shards.
+  /// Router-level stats: wire telemetry (net::Server records here) and fleet
+  /// admission counters, nothing on the request path — request counters
+  /// live in the shards.
   ServiceStats& stats() noexcept override { return router_stats_; }
   const ServiceStats& stats() const noexcept override { return router_stats_; }
-  /// Merge-on-read across all shards + the router stats object. Per-shard
-  /// admission verdicts are summed as-is, so a spilled request contributes
-  /// one Overloaded reject at home and one accept at the sibling; spills()
-  /// says how many rejects were absorbed that way.
-  Table stats_table() const override;
+  /// The router's stats folded first, then every shard's (one load row
+  /// each), plus spills and rebalances.
+  Telemetry telemetry() const override;
 
   void wait_retrain_idle() override;
 
@@ -197,17 +199,6 @@ class ShardedTuningService : public TuningBackend {
   std::uint64_t rebalances() const noexcept {
     return rebalances_.load(std::memory_order_relaxed);
   }
-
-  /// Cross-shard merged views (sum over shards; see stats_table caveat on
-  /// spill double-counting of admission verdicts).
-  ServiceStats::Counters endpoint_counters(Endpoint endpoint) const override;
-  ServiceStats::Counters merged_totals() const;
-  ServiceStats::RetrainCounters retrain_counters() const override;
-  double endpoint_latency_quantile(Endpoint endpoint, double q) const override;
-  /// Request-weighted mean micro-batch size across shards.
-  double mean_batch_size() const override;
-  /// Run-weighted mean background-retrain latency across shards.
-  double mean_retrain_latency_us() const override;
 
   const ShardOptions& options() const noexcept { return options_; }
 

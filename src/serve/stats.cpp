@@ -355,6 +355,11 @@ ServiceStats::FleetCounters ServiceStats::fleet_counters() const {
 
 ServiceStats::WireCounters ServiceStats::wire_counters() const {
   WireCounters out;
+  add_wire_counters(out);
+  return out;
+}
+
+void ServiceStats::add_wire_counters(WireCounters& out) const noexcept {
   for (const auto& s : stripes_) {
     out.connections_accepted += s->wire[kIdxConnOpen].load(kRelaxed);
     out.connections_closed += s->wire[kIdxConnClosed].load(kRelaxed);
@@ -369,7 +374,29 @@ ServiceStats::WireCounters ServiceStats::wire_counters() const {
     out.flushed_frames += s->wire[kIdxFlushedFrames].load(kRelaxed);
     out.flush_eagain += s->wire[kIdxFlushEagain].load(kRelaxed);
   }
-  return out;
+}
+
+void ServiceStats::fold_into(Telemetry& out) const {
+  for (std::size_t i = 0; i < kEndpointCount; ++i) {
+    out.endpoints[i].merge(endpoint_aggregate(static_cast<Endpoint>(i)));
+  }
+  const RetrainCounters retrain = retrain_counters();
+  out.retrain.runs += retrain.runs;
+  out.retrain.coalesced += retrain.coalesced;
+  out.retrain.rejected += retrain.rejected;
+  out.retrain.cancelled += retrain.cancelled;
+  out.retrain_latency_sum_us += retrain_stats_.sum.load(kRelaxed);
+  for (const auto& s : stripes_) {
+    // Batch sizes are whole numbers, so the double sum is exact.
+    out.batch_rows += static_cast<std::uint64_t>(s->batch_stats.sum.load(kRelaxed));
+    out.batches += s->batch_stats.n.load(kRelaxed);
+  }
+  const FleetCounters fleet = fleet_counters();
+  out.fleet.admitted += fleet.admitted;
+  out.fleet.quota_rejected += fleet.quota_rejected;
+  out.fleet.inflight_rejected += fleet.inflight_rejected;
+  out.fleet.unknown_tenant += fleet.unknown_tenant;
+  add_wire_counters(out.wire);
 }
 
 double ServiceStats::latency_quantile(Endpoint endpoint, double q) const {
@@ -415,11 +442,6 @@ double ServiceStats::retrain_latency_quantile(double q) const {
                    std::max<std::size_t>(options_.retrain_bins, 1));
   retrain_hist_.merge_into(merged);
   return merged.quantile(q);
-}
-
-double ServiceStats::mean_retrain_latency_us() const {
-  const std::uint64_t n = retrain_stats_.n.load(kRelaxed);
-  return n ? retrain_stats_.sum.load(kRelaxed) / static_cast<double>(n) : 0.0;
 }
 
 double ServiceStats::mean_retrain_depth() const {
@@ -479,32 +501,10 @@ std::uint64_t ServiceStats::batches() const {
   return sum;
 }
 
-Table ServiceStats::table_of(std::span<const EndpointAggregate> per_endpoint) {
-  Table table({"endpoint", "accepted", "ok", "stale", "overloaded", "deadline",
-               "not ready", "failed", "p50 us", "p99 us", "mean us"});
-  for (std::size_t i = 0; i < per_endpoint.size(); ++i) {
-    const auto& agg = per_endpoint[i];
-    table.add_row({endpoint_name(static_cast<Endpoint>(i)),
-                   std::to_string(agg.counters.accepted), std::to_string(agg.counters.ok),
-                   std::to_string(agg.counters.stale),
-                   std::to_string(agg.counters.rejected_overload),
-                   std::to_string(agg.counters.rejected_deadline),
-                   std::to_string(agg.counters.not_ready),
-                   std::to_string(agg.counters.failed_shutdown +
-                                  agg.counters.failed_overload),
-                   Table::num(agg.latency.quantile(0.5), 1),
-                   Table::num(agg.latency.quantile(0.99), 1),
-                   Table::num(agg.mean_latency_us(), 1)});
-  }
-  return table;
-}
-
 Table ServiceStats::table() const {
-  std::vector<EndpointAggregate> aggs;
-  aggs.reserve(kEndpointCount);
-  for (std::size_t i = 0; i < kEndpointCount; ++i)
-    aggs.push_back(endpoint_aggregate(static_cast<Endpoint>(i)));
-  return table_of(aggs);
+  Telemetry telemetry(options_);
+  fold_into(telemetry);
+  return telemetry.table();
 }
 
 Table ServiceStats::wire_table() const {
@@ -528,6 +528,45 @@ Table ServiceStats::wire_table() const {
     const std::string name = endpoint_name(endpoint);
     table.add_row({name + " wire p50 us", Table::num(wire_latency_quantile(endpoint, 0.5), 1)});
     table.add_row({name + " wire p99 us", Table::num(wire_latency_quantile(endpoint, 0.99), 1)});
+  }
+  return table;
+}
+
+// --- Telemetry --------------------------------------------------------------
+
+Telemetry::Telemetry(const StatsOptions& options) {
+  endpoints.reserve(kEndpointCount);
+  for (std::size_t i = 0; i < kEndpointCount; ++i) endpoints.emplace_back(options);
+}
+
+double Telemetry::latency_quantile(Endpoint endpoint, double q) const {
+  return endpoints[static_cast<std::size_t>(endpoint)].latency.quantile(q);
+}
+
+double Telemetry::mean_batch_size() const noexcept {
+  return batches ? static_cast<double>(batch_rows) / static_cast<double>(batches) : 0.0;
+}
+
+double Telemetry::mean_retrain_latency_us() const noexcept {
+  return retrain.runs ? retrain_latency_sum_us / static_cast<double>(retrain.runs) : 0.0;
+}
+
+Table Telemetry::table() const {
+  Table table({"endpoint", "accepted", "ok", "stale", "overloaded", "deadline",
+               "not ready", "failed", "p50 us", "p99 us", "mean us"});
+  for (std::size_t i = 0; i < endpoints.size(); ++i) {
+    const auto& agg = endpoints[i];
+    table.add_row({endpoint_name(static_cast<Endpoint>(i)),
+                   std::to_string(agg.counters.accepted), std::to_string(agg.counters.ok),
+                   std::to_string(agg.counters.stale),
+                   std::to_string(agg.counters.rejected_overload),
+                   std::to_string(agg.counters.rejected_deadline),
+                   std::to_string(agg.counters.not_ready),
+                   std::to_string(agg.counters.failed_shutdown +
+                                  agg.counters.failed_overload),
+                   Table::num(agg.latency.quantile(0.5), 1),
+                   Table::num(agg.latency.quantile(0.99), 1),
+                   Table::num(agg.mean_latency_us(), 1)});
   }
   return table;
 }

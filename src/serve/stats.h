@@ -36,7 +36,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "serve/types.h"
@@ -61,6 +60,8 @@ struct StatsOptions {
   /// cost of read-time aggregation work. 8 covers typical worker pools.
   std::size_t stripes = 8;
 };
+
+struct Telemetry;
 
 class ServiceStats {
  public:
@@ -153,8 +154,8 @@ class ServiceStats {
   };
 
   /// Merge-on-read view of one endpoint: every stripe of this stats object
-  /// folded together. The sharded router merges these across shards to
-  /// render one fleet-wide table (ShardedTuningService::stats_table).
+  /// folded together. fold_into merges these across stats objects (the
+  /// router's and every shard's) into one Telemetry value.
   struct EndpointAggregate {
     explicit EndpointAggregate(const StatsOptions& options);
     Counters counters;
@@ -225,7 +226,6 @@ class ServiceStats {
   double latency_quantile(Endpoint endpoint, double q) const;
   double mean_latency_us(Endpoint endpoint) const;
   double retrain_latency_quantile(double q) const;
-  double mean_retrain_latency_us() const;
   double mean_retrain_depth() const;
   double max_retrain_depth() const;
   double mean_batch_size() const;
@@ -235,13 +235,15 @@ class ServiceStats {
   double max_queue_depth() const;
   std::uint64_t batches() const;
 
+  /// Adds everything this object recorded into `out`: per-endpoint
+  /// aggregates, retrain counters and latency sums, batch rows and counts,
+  /// fleet and wire counters. The one fold every backend's telemetry() is
+  /// built from; load rows, spills and rebalances are the backend's own.
+  void fold_into(Telemetry& out) const;
+
   /// Per-endpoint summary table ("endpoint | accepted | ok | overloaded |
   /// deadline | p50 | p99 | mean"); render() / to_csv() for output.
   Table table() const;
-  /// Renders the standard per-endpoint table from externally merged
-  /// aggregates, one entry per Endpoint in enum order — the sharded router's
-  /// merge-on-read output shares the exact layout of a single service.
-  static Table table_of(std::span<const EndpointAggregate> per_endpoint);
   /// Wire-level summary ("metric | value" rows: connections, frames, bytes,
   /// decode errors, per-endpoint wire p50/p99).
   Table wire_table() const;
@@ -335,6 +337,7 @@ class ServiceStats {
     return *stripe().per_endpoint[static_cast<std::size_t>(endpoint)];
   }
   std::uint64_t sum_counter(Endpoint endpoint, std::size_t idx) const noexcept;
+  void add_wire_counters(WireCounters& out) const noexcept;
   void fill_counters(Endpoint endpoint, Counters& out) const noexcept;
 
   StatsOptions options_;
@@ -351,6 +354,50 @@ class ServiceStats {
   AtomicHist retrain_hist_;
   AtomicAccum retrain_stats_;
   AtomicAccum retrain_depth_stats_;
+};
+
+/// Load accounting for one shard (the single service is a one-row list).
+struct ShardLoad {
+  std::uint64_t predict_completed = 0;
+  std::size_t workers = 0;  ///< planned pool size, after any router budgeting
+  /// CPU time of exited workers; exact only after stop() joins the pool.
+  std::uint64_t worker_cpu_us = 0;
+  double mean_queue_depth = 0.0;  ///< sampled at each admission
+  double max_queue_depth = 0.0;
+  std::size_t retrain_depth = 0;  ///< retrain tasks queued at read time
+};
+
+/// A backend's telemetry as one plain value: every ServiceStats it owns
+/// folded by ServiceStats::fold_into (a single service's own; the router's
+/// wire-level object, then each shard's), one load row per shard, and the
+/// router's spill and rebalance counts. Built on each telemetry() call, so
+/// the ServiceStats memory-ordering contract applies: exact after stop().
+struct Telemetry {
+  explicit Telemetry(const StatsOptions& options);
+
+  /// One aggregate per Endpoint, in enum order. Admission verdicts are
+  /// summed as recorded, so a spilled request counts one Overloaded reject
+  /// at its home shard and one accept at the sibling.
+  std::vector<ServiceStats::EndpointAggregate> endpoints;
+  ServiceStats::RetrainCounters retrain;
+  double retrain_latency_sum_us = 0.0;  ///< over retrain.runs tasks
+  std::uint64_t batch_rows = 0;  ///< Predict rows run through micro-batches
+  std::uint64_t batches = 0;
+  ServiceStats::FleetCounters fleet;
+  ServiceStats::WireCounters wire;
+  std::vector<ShardLoad> shards;
+  std::uint64_t spills = 0;  ///< requests a sibling shard absorbed
+  std::uint64_t rebalances = 0;
+
+  const ServiceStats::Counters& counters(Endpoint endpoint) const noexcept {
+    return endpoints[static_cast<std::size_t>(endpoint)].counters;
+  }
+  double latency_quantile(Endpoint endpoint, double q) const;
+  /// Rows per micro-batch over every shard (total rows / total batches).
+  double mean_batch_size() const noexcept;
+  double mean_retrain_latency_us() const noexcept;
+  /// The per-endpoint table, same layout for every backend.
+  Table table() const;
 };
 
 }  // namespace rafiki::serve

@@ -1,12 +1,15 @@
 // ShardedTuningService: stable band->shard routing across restarts, per-shard
 // admission isolation, spill-to-sibling on overload, hot-band rebalance,
-// lockstep publish fan-out, sharded-vs-unsharded bit parity, and the striped
+// lockstep publish fan-out, sharded-vs-unsharded parity (answers bit for bit,
+// telemetry counter for counter), and the striped
 // ServiceStats merge-on-read contract under concurrent writers (the latter is
 // the suite's tsan probe).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -71,6 +74,22 @@ class ServeShard : public ::testing::Test {
 };
 
 core::Rafiki* ServeShard::rafiki_ = nullptr;
+
+/// A stats table's CSV lines cut after the "failed" column: the header and
+/// counter cells, without the latency columns that differ run to run.
+std::vector<std::string> counter_columns(const Table& table) {
+  constexpr int kCounterColumns = 8;  // endpoint .. failed
+  std::vector<std::string> lines;
+  std::istringstream csv(table.to_csv());
+  for (std::string line; std::getline(csv, line);) {
+    std::size_t cut = 0;
+    for (int commas = 0; commas < kCounterColumns && cut != std::string::npos; ++commas) {
+      cut = line.find(',', cut == 0 ? 0 : cut + 1);
+    }
+    lines.push_back(line.substr(0, cut));
+  }
+  return lines;
+}
 
 TEST_F(ServeShard, BandOfQuantizesToPercentAndClamps) {
   EXPECT_EQ(ShardedTuningService::band_of(0.0), 0u);
@@ -244,6 +263,44 @@ TEST_F(ServeShard, ShardedPredictMatchesUnshardedBitForBit) {
     EXPECT_EQ(response.mean, rafiki_->predict(rr, config)) << "rr " << rr;
   }
   sharded.stop();
+
+  // Telemetry parity: a 1-shard router folds the same telemetry as a lone
+  // TuningService over the same traffic — equal counters, the same table
+  // layout, one load row each.
+  ShardOptions one_options;
+  one_options.shards = 1;
+  one_options.service.workers = 1;
+  ShardedTuningService one_shard(one_options);
+  ServiceOptions plain_options;
+  plain_options.workers = 1;
+  TuningService plain(plain_options);
+  for (TuningBackend* backend : {static_cast<TuningBackend*>(&one_shard),
+                                 static_cast<TuningBackend*>(&plain)}) {
+    backend->publish(make_snapshot(*rafiki_));
+    backend->start();
+    for (const double rr : {0.05, 0.35, 0.50, 0.81, 0.99}) {
+      ASSERT_TRUE(backend->call(predict_request(rr, config)).ok()) << "rr " << rr;
+    }
+    Request window = predict_request(0.4);
+    window.endpoint = Endpoint::kObserveWindow;  // no tuner attached: NotReady
+    EXPECT_EQ(backend->call(window).status, Status::kNotReady);
+    backend->stop();
+  }
+  const Telemetry routed = one_shard.telemetry();
+  const Telemetry single = plain.telemetry();
+  for (std::size_t i = 0; i < kEndpointCount; ++i) {
+    const auto endpoint = static_cast<Endpoint>(i);
+    EXPECT_EQ(routed.counters(endpoint).accepted, single.counters(endpoint).accepted) << i;
+    EXPECT_EQ(routed.counters(endpoint).completed, single.counters(endpoint).completed) << i;
+    EXPECT_EQ(routed.counters(endpoint).ok, single.counters(endpoint).ok) << i;
+    EXPECT_EQ(routed.counters(endpoint).not_ready, single.counters(endpoint).not_ready) << i;
+  }
+  EXPECT_EQ(routed.counters(Endpoint::kPredict).ok, 5u);
+  EXPECT_EQ(routed.batch_rows, single.batch_rows);
+  EXPECT_EQ(routed.shards.size(), 1u);
+  EXPECT_EQ(single.shards.size(), 1u);
+  EXPECT_EQ(routed.shards[0].predict_completed, single.shards[0].predict_completed);
+  EXPECT_EQ(counter_columns(routed.table()), counter_columns(single.table()));
 }
 
 TEST(ShardWorkerBudget, ExplicitBudgetDividesDeterministically) {
@@ -341,20 +398,51 @@ TEST_F(ServeShard, MergedCountersSpanAllShards) {
   }
   service.stop();
 
-  const auto merged = service.endpoint_counters(Endpoint::kPredict);
+  const Telemetry telemetry = service.telemetry();
+  const auto& merged = telemetry.counters(Endpoint::kPredict);
   EXPECT_EQ(merged.ok, static_cast<std::uint64_t>(kCalls));
   EXPECT_EQ(merged.completed, static_cast<std::uint64_t>(kCalls));
   // The per-shard counters actually split the traffic (the routing spread
   // 101 bands over 4 shards), and their sum is exactly the merged view.
   std::uint64_t summed = 0;
   std::size_t shards_with_traffic = 0;
+  std::uint64_t batches = 0;
+  double weighted_batch = 0.0;
+  ASSERT_EQ(telemetry.shards.size(), service.shard_count());
   for (std::size_t i = 0; i < service.shard_count(); ++i) {
-    const auto per = service.shard(i).stats().counters(Endpoint::kPredict);
+    const ServiceStats& stats = service.shard(i).stats();
+    const auto per = stats.counters(Endpoint::kPredict);
     summed += per.ok;
     if (per.ok > 0) ++shards_with_traffic;
+    batches += stats.batches();
+    weighted_batch += stats.mean_batch_size() * static_cast<double>(stats.batches());
+    // One load row per shard, in shard order, read from that shard.
+    const ShardLoad& row = telemetry.shards[i];
+    EXPECT_EQ(row.predict_completed, per.completed) << "shard " << i;
+    EXPECT_EQ(row.workers, service.shard(i).worker_count()) << "shard " << i;
+    EXPECT_EQ(row.mean_queue_depth, stats.mean_queue_depth()) << "shard " << i;
+    EXPECT_EQ(row.max_queue_depth, stats.max_queue_depth()) << "shard " << i;
+    EXPECT_EQ(row.retrain_depth, 0u) << "shard " << i;
   }
   EXPECT_EQ(summed, merged.ok);
   EXPECT_GT(shards_with_traffic, 1u);
+  // Every endpoint's merged counters are the per-shard sums.
+  for (std::size_t e = 0; e < kEndpointCount; ++e) {
+    const auto endpoint = static_cast<Endpoint>(e);
+    ServiceStats::Counters sum;
+    for (std::size_t i = 0; i < service.shard_count(); ++i) {
+      sum.merge(service.shard(i).stats().counters(endpoint));
+    }
+    EXPECT_EQ(telemetry.counters(endpoint).accepted, sum.accepted) << e;
+    EXPECT_EQ(telemetry.counters(endpoint).completed, sum.completed) << e;
+    EXPECT_EQ(telemetry.counters(endpoint).ok, sum.ok) << e;
+    EXPECT_EQ(telemetry.counters(endpoint).rejected_overload, sum.rejected_overload) << e;
+  }
+  // The batch mean is the batch-weighted mean of the shards' means.
+  EXPECT_EQ(telemetry.batches, batches);
+  ASSERT_GT(batches, 0u);
+  EXPECT_DOUBLE_EQ(telemetry.mean_batch_size(),
+                   weighted_batch / static_cast<double>(batches));
 }
 
 // tsan probe: hot-path recording is relaxed striped atomics with no mutex;

@@ -152,6 +152,37 @@ TEST(TenantFleetAdmission, InFlightCapRejectsOnlyTheCappedTenant) {
   EXPECT_EQ(fleet.registry().find(1)->quota.in_flight(), 0u);
 }
 
+TEST(TenantFleetAdmission, DestructorDrainReleasesSlotsBeforeRegistryDies) {
+  // The registry is a member of the derived fleet, so it is destroyed before
+  // the router base. Parked requests' wrapped callbacks hold TenantState
+  // pointers; ~TenantFleet must drain them while the registry is alive (a
+  // drain from the base destructor would touch freed states — an ASan
+  // heap-use-after-free).
+  FleetOptions options;
+  options.tenants = 2;
+  options.shard.shards = 2;
+  options.shard.service.workers = 0;  // admitted requests park in the queues
+  options.quota_for = [](serve::TenantId tenant) {
+    QuotaOptions quota;
+    if (tenant == 1) quota.max_in_flight = 2;
+    return quota;
+  };
+  std::vector<serve::Status> answers;
+  {
+    TenantFleet fleet(options);
+    for (const double rr : {0.2, 0.7}) {
+      ASSERT_EQ(fleet.try_submit(request_for(1, serve::Endpoint::kPredict, rr),
+                                 [&answers](serve::Response response) {
+                                   answers.push_back(response.status);
+                                 }),
+                serve::Status::kOk);
+    }
+    ASSERT_EQ(fleet.registry().find(1)->quota.in_flight(), 2u);
+  }  // destroyed without an explicit stop()
+  ASSERT_EQ(answers.size(), 2u);
+  for (const auto status : answers) EXPECT_EQ(status, serve::Status::kShuttingDown);
+}
+
 TEST(TenantFleetAdmission, TokenBucketRejectsWithOverloaded) {
   auto clock_us = std::make_shared<std::atomic<std::uint64_t>>(0);
   FleetOptions options;
@@ -321,8 +352,9 @@ TEST_F(TenantFleetServing, PerTenantRetrainNeverCoalescesAcrossTenants) {
   EXPECT_TRUE(r1.stale);
   fleet.wait_retrain_idle();
 
-  EXPECT_EQ(fleet.retrain_counters().runs, 2u);
-  EXPECT_EQ(fleet.retrain_counters().coalesced, 0u);
+  const auto retrain = fleet.telemetry().retrain;
+  EXPECT_EQ(retrain.runs, 2u);
+  EXPECT_EQ(retrain.coalesced, 0u);
   // Each tuner cached its own optimum and republished into its own slot.
   EXPECT_TRUE(fleet.tuner(0)->cached(rr));
   EXPECT_TRUE(fleet.tuner(1)->cached(rr));
@@ -351,9 +383,8 @@ TEST_F(TenantFleetServing, RebalanceRacesPublishAndTrafficCleanly) {
   std::thread publisher([&] {
     int bucket = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      fleet.router().publish_tuned(static_cast<serve::TenantId>(bucket % 4),
-                                   bucket % 101, tuned.config,
-                                   tuned.predicted_throughput);
+      fleet.publish_tuned(static_cast<serve::TenantId>(bucket % 4), bucket % 101,
+                          tuned.config, tuned.predicted_throughput);
       ++bucket;
     }
   });
@@ -380,7 +411,7 @@ TEST_F(TenantFleetServing, RebalanceRacesPublishAndTrafficCleanly) {
   for (serve::TenantId t = 0; t < 4; ++t) {
     EXPECT_NE(fleet.tenant_snapshot(t), nullptr);
     for (std::size_t band = 0; band < serve::ShardedTuningService::kBands; ++band) {
-      EXPECT_LT(fleet.router().shard_of_key(t, band), fleet.router().shard_count());
+      EXPECT_LT(fleet.shard_of_key(t, band), fleet.shard_count());
     }
   }
 }

@@ -26,6 +26,12 @@
 //
 // The default training profile is the CI smoke profile (seconds); --full
 // trains the mid-sized ensemble the benches use (minutes).
+//
+// Numeric flags take plain decimal digits only: a sign, trailing text or a
+// value past the flag's cap exits with status 2 before any training starts.
+// Thread counts (--io-threads, --workers, --worker-budget) are capped at
+// kMaxThreads.
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -53,11 +59,28 @@ volatile std::sig_atomic_t g_shutdown_signal = 0;
 
 void on_shutdown_signal(int signo) { g_shutdown_signal = signo; }
 
+constexpr unsigned long kMaxThreads = 256;
+constexpr unsigned long kMaxShards = 128;  // the router's own clamp
+// Every shard allocates one snapshot slot per tenant.
+constexpr unsigned long kMaxTenants = 4096;
+
+/// Parses an unsigned decimal flag value into `out`: digits only, no sign
+/// (strtoul would wrap "-1" to ULONG_MAX), no trailing text, at most `max`.
+bool parse_count(const char* text, unsigned long max, std::size_t& out) {
+  if (*text < '0' || *text > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long value = std::strtoul(text, &end, 10);
+  if (errno != 0 || *end != '\0' || value > max) return false;
+  out = static_cast<std::size_t>(value);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
-  int port = 7117;
+  std::size_t port = 7117;
   std::size_t io_threads = 2;
   std::size_t workers = 2;
   std::size_t shards = 1;
@@ -65,22 +88,27 @@ int main(int argc, char** argv) {
   std::size_t worker_budget = 0;
   bool pin_shards = false;
   bool full = false;
+  const auto invalid = [](const std::string& flag, const char* text) {
+    std::fprintf(stderr, "invalid %s value '%s'\n", flag.c_str(), text);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--host" && i + 1 < argc) {
+    const bool has_value = i + 1 < argc;
+    if (arg == "--host" && has_value) {
       host = argv[++i];
-    } else if (arg == "--port" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
-    } else if (arg == "--io-threads" && i + 1 < argc) {
-      io_threads = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--workers" && i + 1 < argc) {
-      workers = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--tenants" && i + 1 < argc) {
-      tenants = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--worker-budget" && i + 1 < argc) {
-      worker_budget = static_cast<std::size_t>(std::atoi(argv[++i]));
+    } else if (arg == "--port" && has_value) {
+      if (!parse_count(argv[++i], 65535, port)) return invalid(arg, argv[i]);
+    } else if (arg == "--io-threads" && has_value) {
+      if (!parse_count(argv[++i], kMaxThreads, io_threads)) return invalid(arg, argv[i]);
+    } else if (arg == "--workers" && has_value) {
+      if (!parse_count(argv[++i], kMaxThreads, workers)) return invalid(arg, argv[i]);
+    } else if (arg == "--shards" && has_value) {
+      if (!parse_count(argv[++i], kMaxShards, shards)) return invalid(arg, argv[i]);
+    } else if (arg == "--tenants" && has_value) {
+      if (!parse_count(argv[++i], kMaxTenants, tenants)) return invalid(arg, argv[i]);
+    } else if (arg == "--worker-budget" && has_value) {
+      if (!parse_count(argv[++i], kMaxThreads, worker_budget)) return invalid(arg, argv[i]);
     } else if (arg == "--pin-shards") {
       pin_shards = true;
     } else if (arg == "--full") {
@@ -93,10 +121,6 @@ int main(int argc, char** argv) {
                    argv[0]);
       return 2;
     }
-  }
-  if (port < 0 || port > 65535) {
-    std::fprintf(stderr, "invalid port %d\n", port);
-    return 2;
   }
   if (tenants == 0) tenants = 1;
 
@@ -122,7 +146,6 @@ int main(int argc, char** argv) {
   service_options.workers = workers;
   core::OnlineTuner tuner(rafiki);  // tenant-0 tuner for the non-fleet paths
   std::unique_ptr<serve::TuningBackend> backend;
-  tenant::TenantFleet* fleet = nullptr;
   if (tenants > 1) {
     tenant::FleetOptions fleet_options;
     fleet_options.tenants = tenants;
@@ -130,10 +153,9 @@ int main(int argc, char** argv) {
     fleet_options.shard.service = service_options;
     fleet_options.shard.worker_budget = worker_budget;
     fleet_options.shard.pin_shards = pin_shards;
-    auto owned = std::make_unique<tenant::TenantFleet>(fleet_options);
-    owned->attach_rafiki(rafiki);
-    fleet = owned.get();
-    backend = std::move(owned);
+    auto fleet = std::make_unique<tenant::TenantFleet>(fleet_options);
+    fleet->attach_rafiki(rafiki);
+    backend = std::move(fleet);
   } else if (shards > 1) {
     serve::ShardOptions shard_options;
     shard_options.shards = shards;
@@ -146,7 +168,7 @@ int main(int argc, char** argv) {
   }
   serve::TuningBackend& service = *backend;
   service.publish(serve::make_snapshot(rafiki));
-  if (fleet == nullptr) service.attach_tuner(tuner);
+  if (tenants == 1) service.attach_tuner(tuner);
   service.start();
 
   net::ServerOptions server_options;
@@ -214,12 +236,13 @@ int main(int argc, char** argv) {
               after.frames_per_flush(), after.flush_syscalls_per_frame(),
               static_cast<unsigned long long>(after.flush_eagain));
 
-  // stats_table() merges across shards for the sharded backend; wire-level
+  // telemetry() merges every shard for a sharded backend; wire-level
   // telemetry always lives in the backend's front-end stats object.
-  std::printf("\n=== request stats ===\n%s", service.stats_table().render().c_str());
+  const serve::Telemetry telemetry = service.telemetry();
+  std::printf("\n=== request stats ===\n%s", telemetry.table().render().c_str());
   std::printf("\n=== wire stats ===\n%s", service.stats().wire_table().render().c_str());
-  if (fleet != nullptr) {
-    const auto fc = fleet->fleet_counters();
+  if (tenants > 1) {
+    const auto& fc = telemetry.fleet;
     std::printf("\n=== fleet admission ===\nadmitted %llu | quota rejected %llu | "
                 "in-flight rejected %llu | unknown tenant %llu\n",
                 static_cast<unsigned long long>(fc.admitted),
