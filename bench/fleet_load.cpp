@@ -6,11 +6,13 @@
 //      the RKF2 header) hammer a TenantFleet through real sockets. Every
 //      trace walks the paper's dynamic-workload schedule, offset per tenant
 //      so regime storms hit all tenants at once; ObserveWindow misses are
-//      answered stale-marked while each tenant's own RetrainWorker
-//      republishes into that tenant's snapshot slot. Gates: zero failed
+//      answered stale-marked while a background retrain searches the bucket
+//      once for the whole fleet (every tenant's tuner reads one shared memo)
+//      and republishes into every tenant's snapshot slot. Gates: zero failed
 //      calls, zero decode errors, frames_in == frames_out (nothing lost on
-//      the wire), zero admission rejects (no quotas configured), and every
-//      tenant's model version advanced — per-tenant retrain fan-out is real.
+//      the wire), zero admission rejects (no quotas configured), every
+//      tenant's model version advanced, and the GA runs summed over tenants
+//      stay within the distinct tuner buckets the schedule visits.
 //      An unknown-tenant probe rides along: a client outside the fleet's id
 //      range must get a clean typed kNotReady for every call, never a
 //      dropped frame.
@@ -48,6 +50,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,6 +81,10 @@ struct ReplayResult {
   std::uint64_t frames_out = 0;
   serve::ServiceStats::FleetCounters fleet{};
   std::uint64_t tenants_republished = 0;
+  /// GA runs summed over every tenant's tuner, and the distinct tuner
+  /// buckets the schedule's ObserveWindows visit (its bound).
+  std::uint64_t optimizer_runs = 0;
+  std::uint64_t schedule_buckets = 0;
   // Unknown-tenant probe: calls from outside the id range, all of which must
   // come back as typed kNotReady responses.
   std::uint64_t probe_calls = 0;
@@ -133,10 +140,19 @@ double exact_quantile(std::vector<double> samples, double q) {
   return samples[std::min(rank, samples.size() - 1)];
 }
 
+/// Read ratio of call `i` of a tenant's trace. The schedule is offset by
+/// tenant id: regime boundaries line up across the fleet (a coordinated
+/// storm) while each tenant shifts to a different regime, so tenants reach
+/// each bucket at different times and the shared memo serves the later ones.
+double schedule_rr(std::size_t i, serve::TenantId tenant, std::size_t window_every) {
+  static const std::vector<double> regimes = {0.15, 0.85, 0.45, 0.95, 0.25};
+  return regimes[(i / window_every + tenant) % regimes.size()];
+}
+
 /// One regime-switching tenant trace: every `window_every` calls the trace
 /// opens a new read-ratio regime with one ObserveWindow (stale-marked on a
-/// cache miss; the tenant's own RetrainWorker republishes behind it), then
-/// fills the window with pipelined Predict bursts against that regime.
+/// memo miss; a background retrain republishes behind it), then fills the
+/// window with pipelined Predict bursts against that regime.
 void replay_trace(std::uint16_t port, serve::TenantId tenant, std::size_t calls,
                   std::size_t pipeline, std::size_t window_every,
                   std::uint64_t& predict_ok, std::uint64_t& windows,
@@ -148,15 +164,10 @@ void replay_trace(std::uint16_t port, serve::TenantId tenant, std::size_t calls,
     failed += calls;
     return;
   }
-  const std::vector<double> regimes = {0.15, 0.85, 0.45, 0.95, 0.25};
   std::vector<std::uint64_t> ids;
   ids.reserve(pipeline);
   for (std::size_t i = 0; i < calls;) {
-    // Offset the schedule by tenant id: regime boundaries line up across the
-    // fleet (a coordinated storm) but each tenant shifts to a different
-    // regime, so the per-tenant retrain key-spaces never coalesce.
-    const double rr =
-        regimes[(i / window_every + tenant) % regimes.size()];
+    const double rr = schedule_rr(i, tenant, window_every);
     if (i % window_every == 0) {
       const auto result = client.observe_window(rr);  // typed wrapper stamps the tenant
       if (result.net == net::NetStatus::kOk &&
@@ -258,14 +269,20 @@ ReplayResult fleet_replay(const core::Rafiki& rafiki, std::size_t tenants,
     }
   }
 
-  // Let every tenant's in-flight background retrains republish before the
-  // per-tenant version audit.
+  // Let every in-flight background retrain republish before the per-tenant
+  // version audit and the GA-run count.
   fleet.wait_retrain_idle();
+  std::set<int> buckets;
   for (std::size_t t = 0; t < tenants; ++t) {
-    if (fleet.tenant_model_version(static_cast<serve::TenantId>(t)) > 1) {
-      ++result.tenants_republished;
+    const auto id = static_cast<serve::TenantId>(t);
+    if (fleet.tenant_model_version(id) > 1) ++result.tenants_republished;
+    const core::OnlineTuner& tuner = *fleet.tuner(id);
+    result.optimizer_runs += tuner.optimizer_runs();
+    for (std::size_t i = 0; i < calls_per_trace; i += window_every) {
+      buckets.insert(tuner.bucket_for(schedule_rr(i, id, window_every)));
     }
   }
+  result.schedule_buckets = buckets.size();
   server.stop();
 
   result.tenants = tenants;
@@ -584,6 +601,7 @@ void write_json(const std::string& path, const ReplayResult& replay,
                "\"frames_out\": %llu, \"admitted\": %llu, "
                "\"quota_rejected\": %llu, \"inflight_rejected\": %llu, "
                "\"unknown_tenant\": %llu, \"tenants_republished\": %llu, "
+               "\"optimizer_runs\": %llu, \"schedule_buckets\": %llu, "
                "\"probe_calls\": %llu, \"probe_not_ready\": %llu},\n",
                replay.tenants, replay.shards, replay.traces, replay.qps,
                static_cast<unsigned long long>(replay.predict_ok),
@@ -598,6 +616,8 @@ void write_json(const std::string& path, const ReplayResult& replay,
                static_cast<unsigned long long>(replay.fleet.inflight_rejected),
                static_cast<unsigned long long>(replay.fleet.unknown_tenant),
                static_cast<unsigned long long>(replay.tenants_republished),
+               static_cast<unsigned long long>(replay.optimizer_runs),
+               static_cast<unsigned long long>(replay.schedule_buckets),
                static_cast<unsigned long long>(replay.probe_calls),
                static_cast<unsigned long long>(replay.probe_not_ready));
   const auto emit_run = [out](const char* key, const VictimRun& run,
@@ -712,6 +732,9 @@ int main(int argc, char** argv) {
   replay_table.add_row({"tenants republished",
                         std::to_string(replay.tenants_republished) + " / " +
                             std::to_string(replay.tenants)});
+  replay_table.add_row({"GA runs (all tenants) / schedule buckets",
+                        std::to_string(replay.optimizer_runs) + " / " +
+                            std::to_string(replay.schedule_buckets)});
   replay_table.add_row({"unknown-tenant probe",
                         std::to_string(replay.probe_not_ready) + " / " +
                             std::to_string(replay.probe_calls) + " NotReady"});
@@ -830,6 +853,9 @@ int main(int argc, char** argv) {
               count(replay.stale_windows), ">= 1");
   gates.check(replay.tenants_republished == replay.tenants, "A tenants republished",
               count(replay.tenants_republished), "== " + count(replay.tenants));
+  gates.check(replay.optimizer_runs <= replay.schedule_buckets,
+              "A GA runs summed over tenants", count(replay.optimizer_runs),
+              "<= " + count(replay.schedule_buckets) + " schedule buckets");
   gates.check(replay.probe_calls > 0 && replay.probe_not_ready == replay.probe_calls,
               "A unknown-tenant probe answered NotReady", count(replay.probe_not_ready),
               "== " + count(replay.probe_calls) + " calls (> 0)");

@@ -1,16 +1,133 @@
 #include "core/online.h"
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 namespace rafiki::core {
 
-OnlineTuner::OnlineTuner(const Rafiki& rafiki, OnlineTunerOptions options)
-    : rafiki_(&rafiki), options_(options) {}
+// --- TuneMemo ---------------------------------------------------------------
 
-int OnlineTuner::bucket_for(double read_ratio) const noexcept {
-  return static_cast<int>(std::round(read_ratio / options_.rr_bucket));
+TuneMemo::TuneMemo(const Rafiki& rafiki, double rr_bucket)
+    : rafiki_(&rafiki), rr_bucket_(rr_bucket) {
+  // The lower bound keeps round(1 / rr_bucket) far inside int.
+  if (!(rr_bucket >= 1e-6 && rr_bucket <= 1.0)) {
+    throw std::invalid_argument("TuneMemo: rr_bucket must be in [1e-6, 1]");
+  }
 }
+
+double TuneMemo::clamp_read_ratio(double read_ratio) noexcept {
+  if (!(read_ratio >= 0.0)) return 0.0;  // negative or NaN
+  return std::min(read_ratio, 1.0);
+}
+
+int TuneMemo::bucket_for(double read_ratio) const noexcept {
+  return static_cast<int>(std::round(clamp_read_ratio(read_ratio) / rr_bucket_));
+}
+
+bool TuneMemo::contains(int bucket) const {
+  MutexLock lock(mutex_);
+  return entries_.count(bucket) != 0;
+}
+
+std::vector<int> TuneMemo::buckets() const {
+  MutexLock lock(mutex_);
+  std::vector<int> out;
+  out.reserve(entries_.size());
+  for (const auto& entry : entries_) out.push_back(entry.first);
+  return out;
+}
+
+std::optional<TuneMemo::Entry> TuneMemo::find(int bucket, double read_ratio,
+                                              const MissHook* on_miss) const {
+  MutexLock lock(mutex_);
+  const auto it = entries_.find(bucket);
+  if (it != entries_.end()) return it->second;
+  if (on_miss != nullptr) (*on_miss)(bucket, read_ratio);
+  return std::nullopt;
+}
+
+void TuneMemo::sync_generation_locked() {
+  const std::size_t generation = rafiki_->tune_stats().changes;
+  if (generation == generation_) return;
+  // The entries were cut for an active knob set that no longer holds: every
+  // bucket re-optimizes in the new subspace.
+  entries_.clear();
+  generation_ = generation;
+}
+
+bool TuneMemo::optimize(int bucket, double read_ratio) {
+  // Dynamic knob mode: re-screen before searching, so the GA always runs in
+  // the freshest active subspace. This rides the background optimize path
+  // (the serve layer's RetrainWorker), never a request thread.
+  rafiki_->rescreen();
+
+  std::size_t stamp = 0;
+  {
+    MutexLock lock(mutex_);
+    for (;;) {
+      sync_generation_locked();
+      if (entries_.count(bucket) != 0) return false;  // coalesced: already optimized
+      if (in_flight_.count(bucket) == 0) break;
+      // Another caller is mid-GA for this bucket; wait for its result so
+      // callers relying on inline semantics observe a warm memo on return.
+      // Loop: a search discarded for a stale active set leaves the bucket
+      // empty, and this caller then searches it itself.
+      optimize_done_.wait(mutex_);
+    }
+    in_flight_.insert(bucket);
+    stamp = generation_;
+  }
+
+  // The expensive part runs with no lock held: decisions and other buckets'
+  // optimizations proceed concurrently.
+  const Rafiki::OptimizeResult result = rafiki_->optimize(read_ratio);
+
+  bool installed = false;
+  {
+    MutexLock lock(mutex_);
+    in_flight_.erase(bucket);
+    // A search cut for an active set that changed while it ran is dropped:
+    // installing it would serve a config from the old subspace.
+    sync_generation_locked();
+    if (generation_ == stamp) {
+      entries_.emplace(bucket, Entry{result.config, result.predicted_throughput});
+      installed = true;
+    }
+  }
+  optimize_done_.notify_all();
+  if (installed) {
+    MutexLock lock(members_mutex_);
+    for (OnlineTuner* member : members_) member->publish(bucket, result);
+  }
+  return true;
+}
+
+void TuneMemo::join(OnlineTuner* member) {
+  MutexLock lock(members_mutex_);
+  members_.push_back(member);
+}
+
+void TuneMemo::leave(OnlineTuner* member) {
+  MutexLock lock(members_mutex_);
+  members_.erase(std::remove(members_.begin(), members_.end(), member), members_.end());
+}
+
+// --- OnlineTuner ------------------------------------------------------------
+
+OnlineTuner::OnlineTuner(const Rafiki& rafiki, OnlineTunerOptions options)
+    : OnlineTuner(std::make_shared<TuneMemo>(rafiki, options.rr_bucket), options) {}
+
+OnlineTuner::OnlineTuner(std::shared_ptr<TuneMemo> memo, OnlineTunerOptions options)
+    : rafiki_(memo->rafiki_), options_(options), memo_(std::move(memo)) {
+  if (options_.rr_bucket != memo_->rr_bucket()) {
+    throw std::invalid_argument("OnlineTuner: rr_bucket differs from the shared memo's");
+  }
+  memo_->join(this);
+}
+
+OnlineTuner::~OnlineTuner() { memo_->leave(this); }
 
 void OnlineTuner::set_publish_hook(PublishHook hook) {
   MutexLock lock(mutex_);
@@ -22,9 +139,17 @@ void OnlineTuner::set_async_optimize_hook(AsyncOptimizeHook hook) {
   async_optimize_ = std::move(hook);
 }
 
+void OnlineTuner::publish(int bucket, const Rafiki::OptimizeResult& result) {
+  PublishHook hook;
+  {
+    MutexLock lock(mutex_);
+    hook = publish_;
+  }
+  if (hook) hook(bucket, result);
+}
+
 bool OnlineTuner::cached(double read_ratio) const {
-  MutexLock lock(mutex_);
-  return cache_.count(bucket_for(read_ratio)) != 0;
+  return memo_->contains(bucket_for(read_ratio));
 }
 
 std::size_t OnlineTuner::reconfigurations() const {
@@ -37,28 +162,30 @@ std::size_t OnlineTuner::optimizer_runs() const {
   return optimizer_runs_;
 }
 
-OnlineTuner::Decision OnlineTuner::decide_locked(double read_ratio) {
+OnlineTuner::Decision OnlineTuner::decide_locked(double read_ratio, bool hand_off) {
   Decision decision;
   const bool moved = !have_config_ ||
                      std::abs(read_ratio - current_rr_) >= options_.rr_change_threshold;
   if (moved) {
-    const auto it = cache_.find(bucket_for(read_ratio));
-    if (it != cache_.end()) {
+    const AsyncOptimizeHook* on_miss =
+        hand_off && async_optimize_ ? &async_optimize_ : nullptr;
+    const auto hit = memo_->find(bucket_for(read_ratio), read_ratio, on_miss);
+    if (hit) {
       // The regime moved and an optimized config is ready: adopt it.
-      if (!have_config_ || !(it->second.config == current_)) {
-        current_ = it->second.config;
+      if (!have_config_ || !(hit->config == current_)) {
+        current_ = hit->config;
         ++reconfigurations_;
         decision.reconfigured = true;
       }
       current_rr_ = read_ratio;
       have_config_ = true;
       decision.config = current_;
-      decision.predicted_throughput = it->second.predicted_throughput;
+      decision.predicted_throughput = hit->predicted_throughput;
       return decision;
     }
     // Miss: keep serving the current config (stale-while-revalidate). The
     // regime anchor is deliberately not advanced, so later windows in this
-    // bucket keep asking until the optimized entry lands in the cache.
+    // bucket keep asking until the optimized entry lands in the memo.
     decision.stale = true;
   }
   decision.config = current_;
@@ -67,8 +194,9 @@ OnlineTuner::Decision OnlineTuner::decide_locked(double read_ratio) {
 }
 
 OnlineTuner::Decision OnlineTuner::decide(double read_ratio) {
+  read_ratio = TuneMemo::clamp_read_ratio(read_ratio);
   MutexLock lock(mutex_);
-  return decide_locked(read_ratio);
+  return decide_locked(read_ratio, /*hand_off=*/false);
 }
 
 void OnlineTuner::observe_sample(double read_ratio, const engine::Config& config,
@@ -77,80 +205,36 @@ void OnlineTuner::observe_sample(double read_ratio, const engine::Config& config
 }
 
 bool OnlineTuner::run_optimize(double read_ratio) {
-  // Dynamic knob mode: re-screen before searching, so the GA always runs in
-  // the freshest active subspace. This rides the background optimize path
-  // (the serve layer's RetrainWorker), never a request thread. When the
-  // active set changed, the memoized configs were cut for the old subspace —
-  // drop them so every bucket re-optimizes in the new one.
-  if (rafiki_->rescreen()) {
-    MutexLock lock(mutex_);
-    cache_.clear();
-  }
-
-  const int bucket = bucket_for(read_ratio);
-  {
-    MutexLock lock(mutex_);
-    if (cache_.count(bucket) != 0) return false;  // coalesced: already optimized
-    if (in_flight_.count(bucket) != 0) {
-      // Another thread is mid-GA for this bucket; wait for its result so
-      // callers relying on inline semantics observe a warm cache on return.
-      while (in_flight_.count(bucket) != 0) optimize_done_.wait(mutex_);
-      return false;
-    }
-    in_flight_.insert(bucket);
-  }
-
-  // The expensive part runs with no lock held: decisions and other buckets'
-  // optimizations proceed concurrently.
-  const Rafiki::OptimizeResult result = rafiki_->optimize(read_ratio);
-
-  PublishHook publish;
-  {
-    MutexLock lock(mutex_);
-    in_flight_.erase(bucket);
-    cache_.emplace(bucket, result);
-    ++optimizer_runs_;
-    publish = publish_;
-  }
-  optimize_done_.notify_all();
-  if (publish) publish(bucket, result);
+  read_ratio = TuneMemo::clamp_read_ratio(read_ratio);
+  if (!memo_->optimize(bucket_for(read_ratio), read_ratio)) return false;
+  MutexLock lock(mutex_);
+  ++optimizer_runs_;
   return true;
 }
 
 void OnlineTuner::prefetch(double read_ratio) {
+  read_ratio = TuneMemo::clamp_read_ratio(read_ratio);
   {
     MutexLock lock(mutex_);
-    if (cache_.count(bucket_for(read_ratio)) != 0) return;
-    if (async_optimize_) {
-      // Under the lock, like on_window's hand-off: see there.
-      async_optimize_(bucket_for(read_ratio), read_ratio);
-      return;
-    }
+    // A miss is handed off under the memo lock, like on_window's (see
+    // TuneMemo::find); without a hook it optimizes inline below.
+    const AsyncOptimizeHook* on_miss = async_optimize_ ? &async_optimize_ : nullptr;
+    if (memo_->find(bucket_for(read_ratio), read_ratio, on_miss) || on_miss) return;
   }
   run_optimize(read_ratio);
 }
 
 OnlineTuner::Decision OnlineTuner::on_window(double read_ratio) {
-  Decision decision;
+  read_ratio = TuneMemo::clamp_read_ratio(read_ratio);
   {
     MutexLock lock(mutex_);
-    decision = decide_locked(read_ratio);
-    if (!decision.stale) return decision;
-    if (async_optimize_) {
-      // Stale-while-revalidate: hand the miss to the background worker and
-      // answer with the current config immediately. The hand-off happens
-      // under the tuner lock, so it cannot fall between the worker's memo
-      // write (taken under this lock) and the worker retiring the bucket's
-      // pending task (after run_optimize returns): a miss seen here always
-      // coalesces into the task that is about to fill the cache, instead of
-      // queueing a second, no-op retrain. The hook only enqueues; it never
-      // calls back into the tuner.
-      async_optimize_(bucket_for(read_ratio), read_ratio);
-      return decision;
-    }
+    // With the async hook set, a miss is already on the background worker
+    // (stale-while-revalidate): answer with the current config immediately.
+    const Decision decision = decide_locked(read_ratio, /*hand_off=*/true);
+    if (!decision.stale || async_optimize_) return decision;
   }
   // Standalone (no worker attached): optimize inline, then re-decide against
-  // the now-warm cache — the original blocking behaviour.
+  // the now-warm memo — the original blocking behaviour.
   run_optimize(read_ratio);
   return decide(read_ratio);
 }

@@ -21,7 +21,6 @@ RetrainWorker::Ticket RetrainWorker::finished_ticket(RetrainEnqueue result) {
 
 RetrainWorker::Ticket RetrainWorker::enqueue(std::uint64_t key, double read_ratio) {
   Ticket ticket;
-  std::size_t depth_after = 0;
   {
     MutexLock lock(mutex_);
     if (stopping_ || stopped_) return finished_ticket(RetrainEnqueue::kStopped);
@@ -40,12 +39,10 @@ RetrainWorker::Ticket RetrainWorker::enqueue(std::uint64_t key, double read_rati
       ticket.result = RetrainEnqueue::kEnqueued;
       ticket.done = task.future;
       tasks_.push_back(std::move(task));
-      depth_after = tasks_.size();
     }
   }
   if (ticket.result == RetrainEnqueue::kEnqueued) {
     ready_.notify_one();
-    if (stats_) stats_->record_retrain_enqueue(depth_after);
   } else if (ticket.result == RetrainEnqueue::kCoalesced) {
     if (stats_) stats_->record_retrain_coalesced();
   } else if (ticket.result == RetrainEnqueue::kRejected) {

@@ -16,7 +16,7 @@
 //     stop(drain=false) cancels it; either way every future ever handed out
 //     resolves (kCompleted or kCancelled), and an in-flight task always runs
 //     to completion.
-//   * Telemetry — queue depth, per-task latency histogram, and
+//   * Telemetry — queue depth (depth()), summed task latency, and
 //     runs/coalesced/rejected/cancelled counters in ServiceStats.
 #pragma once
 
@@ -35,9 +35,10 @@
 namespace rafiki::serve {
 
 /// Composes the retrain coalescing key from a tenant namespace and a
-/// read-ratio bucket. Each tenant owns a disjoint key-space: tenant A's
-/// bucket-7 GA run never coalesces against (or dedups) tenant B's bucket-7
-/// run, because their keys differ in the high word.
+/// read-ratio bucket. The tenant names whose tuner runs the task: tenants
+/// whose tuners share one memo (a TenantFleet) all enqueue under the
+/// memo's owning tenant, so their same-bucket requests coalesce; tuners
+/// with private memos keep disjoint key-spaces.
 constexpr std::uint64_t retrain_key(TenantId tenant, int bucket) noexcept {
   return (static_cast<std::uint64_t>(tenant) << 32) |
          static_cast<std::uint32_t>(bucket);

@@ -66,7 +66,7 @@ TuningService::TuningService(ServiceOptions options)
           // and its publish hook republishes the result through that
           // tenant's registry slot.
           [this](std::uint64_t key, double read_ratio) {
-            auto* tuner = tuner_for(retrain_key_tenant(key));
+            auto* tuner = tenant_tuner(retrain_key_tenant(key));
             if (tuner != nullptr) tuner->run_optimize(read_ratio);
           },
           options_.retrain, &stats_),
@@ -368,7 +368,7 @@ void TuningService::run_single(Job job, PredictScratch& scratch) {
       break;
     }
     case Endpoint::kObserveWindow: {
-      auto* tuner = tuner_for(job.request.tenant);
+      auto* tuner = tenant_tuner(job.request.tenant);
       if (tuner == nullptr) {
         response.status = Status::kNotReady;
         break;

@@ -17,7 +17,7 @@
 //     and enqueues the bucket on a dedicated RetrainWorker thread; the GA
 //     never runs on a request-path worker (serve/retrain.h).
 //   * Telemetry — per-endpoint latency histograms, QPS / rejection /
-//     queue-depth counters, batch-size distribution, retrain queue depth and
+//     queue-depth counters, mean batch size, retrain queue depth and mean
 //     latency (serve/stats.h).
 #pragma once
 
@@ -126,9 +126,10 @@ class TuningService : public TuningBackend {
   /// every shard through this. Pointer only.
   void bind_tenant_tuner(TenantId tenant, core::OnlineTuner& tuner);
 
-  /// Enqueues a background retrain for `tenant`'s `bucket` on this service's
-  /// RetrainWorker (the router's async-optimize fan-out target). Coalesces
-  /// within the tenant's own key-space, never across tenants.
+  /// Enqueues a background retrain of `bucket` on this service's
+  /// RetrainWorker (the router's async-optimize target), run by `tenant`'s
+  /// tuner. Coalesces within `tenant`'s key-space; the router passes the
+  /// tenant that owns a shared memo, so tenants sharing one coalesce.
   void enqueue_retrain(TenantId tenant, int bucket, double read_ratio) {
     retrain_.enqueue(retrain_key(tenant, bucket), read_ratio);
   }
@@ -172,6 +173,12 @@ class TuningService : public TuningBackend {
   /// Planned worker-pool size (ServiceOptions::workers after any router
   /// budgeting) — the number start() spawns.
   std::size_t worker_count() const noexcept { return options_.workers; }
+  /// The tuner bound to a tenant's ObserveWindow path (null when unbound or
+  /// out of range).
+  core::OnlineTuner* tenant_tuner(TenantId tenant) const noexcept {
+    return tenant < tuners_.size() ? tuners_[tenant].load(std::memory_order_acquire)
+                                   : nullptr;
+  }
   /// Blocks until the background retrain worker is idle — the barrier tests
   /// and benches use to observe the post-republish state.
   void wait_retrain_idle() override { retrain_.wait_idle(); }
@@ -204,10 +211,6 @@ class TuningService : public TuningBackend {
   Tick now_tick() const { return options_.clock_fn ? options_.clock_fn() : 0; }
   bool expired(const Request& request, Tick now) const {
     return request.deadline != kNoDeadline && now > request.deadline;
-  }
-  core::OnlineTuner* tuner_for(TenantId tenant) const noexcept {
-    return tenant < tuners_.size() ? tuners_[tenant].load(std::memory_order_acquire)
-                                   : nullptr;
   }
   std::uint64_t publish_locked(TenantId tenant, ModelSnapshot snapshot)
       REQUIRES(publish_mutex_);

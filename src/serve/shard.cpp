@@ -114,19 +114,28 @@ void ShardedTuningService::attach_tuner(core::OnlineTuner& tuner) {
 
 void ShardedTuningService::attach_tenant_tuner(TenantId tenant, core::OnlineTuner& tuner) {
   // The tuner's hooks are single-slot, so the router — not any one shard —
-  // must own them and fan out. Each tenant has its own tuner, so each
-  // tenant's hooks are claimed independently.
+  // must own them and fan out. Publishes land in this tenant's slot only.
   tuner.set_publish_hook(
       [this, tenant](int bucket, const core::Rafiki::OptimizeResult& result) {
         publish_tuned(tenant, bucket, result.config, result.predicted_throughput);
       });
-  tuner.set_async_optimize_hook([this, tenant](int bucket, double read_ratio) {
-    // Route the background optimization to the shard that owns the (tenant,
-    // band) key, so its retrain coalescing map sees every request for its
-    // workloads. retrain_key(tenant, bucket) is the coalescing key: same
-    // per-bucket dedup as unsharded, but never across tenants.
-    shards_[shard_of_key(tenant, band_of(read_ratio))]->enqueue_retrain(tenant, bucket,
-                                                                        read_ratio);
+  // Background searches are keyed and routed by the memo, not the tenant:
+  // tuners sharing one memo share the key-space of its lowest bound tenant,
+  // and a bucket always routes to the shard owning its centre band. So
+  // same-bucket misses from any tenant coalesce into one RetrainWorker task,
+  // and no second shard's retrain thread parks waiting on the first's GA.
+  TenantId owner = tenant;
+  for (TenantId t = 0; t < options_.service.tenants; ++t) {
+    const core::OnlineTuner* bound = shards_.front()->tenant_tuner(t);
+    if (t != tenant && bound != nullptr && bound->memo() == tuner.memo()) {
+      owner = t;
+      break;
+    }
+  }
+  const double rr_bucket = tuner.memo()->rr_bucket();
+  tuner.set_async_optimize_hook([this, owner, rr_bucket](int bucket, double read_ratio) {
+    const std::size_t band = band_of(bucket * rr_bucket);
+    shards_[shard_of_key(owner, band)]->enqueue_retrain(owner, bucket, read_ratio);
   });
   for (auto& shard : shards_) shard->bind_tenant_tuner(tenant, tuner);
 }

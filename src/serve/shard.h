@@ -141,9 +141,11 @@ class ShardedTuningService : public TuningBackend {
 
   /// Tenant-fleet variant of attach_tuner: claims `tuner`'s hooks for one
   /// tenant namespace — republishes fan out into every shard's slot for
-  /// `tenant` only, background optimizations enqueue under the tenant's own
-  /// retrain key-space on the owning shard, and the tuner is bound to every
-  /// shard's ObserveWindow path for this tenant.
+  /// `tenant` only, and the tuner is bound to every shard's ObserveWindow
+  /// path for this tenant. Background optimizations are keyed by the
+  /// tuner's memo: tuners sharing a TuneMemo enqueue under the retrain
+  /// key-space of its lowest bound tenant, on the shard owning the bucket's
+  /// centre band, so one bucket costs one task fleet-wide.
   void attach_tenant_tuner(TenantId tenant, core::OnlineTuner& tuner);
 
   /// Tenant-qualified tuned-entry fan-out (all shards, one tenant slot,

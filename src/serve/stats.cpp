@@ -95,18 +95,13 @@ ServiceStats::EndpointStripe::EndpointStripe(const StatsOptions& options)
       wire_latency(0.0, options.latency_hi_us,
                    std::max<std::size_t>(options.latency_bins, 1)) {}
 
-ServiceStats::Stripe::Stripe(const StatsOptions& options)
-    : batch_hist(1.0, static_cast<double>(options.max_batch) + 1.0,
-                 std::max<std::size_t>(options.max_batch, 1)) {
+ServiceStats::Stripe::Stripe(const StatsOptions& options) {
   per_endpoint.reserve(kEndpointCount);
   for (std::size_t i = 0; i < kEndpointCount; ++i)
     per_endpoint.push_back(std::make_unique<EndpointStripe>(options));
 }
 
-ServiceStats::ServiceStats(StatsOptions options)
-    : options_(options),
-      retrain_hist_(0.0, options.retrain_hi_us,
-                    std::max<std::size_t>(options.retrain_bins, 1)) {
+ServiceStats::ServiceStats(StatsOptions options) : options_(options) {
   const std::size_t n = pow2_at_least(std::max<std::size_t>(options_.stripes, 1));
   stripe_mask_ = n - 1;
   stripes_.reserve(n);
@@ -169,7 +164,6 @@ void ServiceStats::record_stale(Endpoint endpoint) {
 void ServiceStats::record_batch(std::size_t batch_size) {
   Stripe& s = stripe();
   s.batches.fetch_add(1, kRelaxed);
-  s.batch_hist.add(static_cast<double>(batch_size));
   s.batch_stats.add(static_cast<double>(batch_size));
 }
 
@@ -218,12 +212,7 @@ void ServiceStats::record_wire_latency(Endpoint endpoint, double latency_us) {
 
 void ServiceStats::record_retrain(double latency_us) {
   retrain_counters_[0].fetch_add(1, kRelaxed);
-  retrain_hist_.add(latency_us);
   retrain_stats_.add(latency_us);
-}
-
-void ServiceStats::record_retrain_enqueue(std::size_t queue_depth) {
-  retrain_depth_stats_.add(static_cast<double>(queue_depth));
 }
 
 void ServiceStats::record_retrain_coalesced() {
@@ -407,51 +396,12 @@ double ServiceStats::latency_quantile(Endpoint endpoint, double q) const {
   return merged.quantile(q);
 }
 
-double ServiceStats::mean_latency_us(Endpoint endpoint) const {
-  std::uint64_t n = 0;
-  double sum = 0.0;
-  for (const auto& s : stripes_) {
-    const auto& acc = s->per_endpoint[static_cast<std::size_t>(endpoint)]->latency_stats;
-    n += acc.n.load(kRelaxed);
-    sum += acc.sum.load(kRelaxed);
-  }
-  return n ? sum / static_cast<double>(n) : 0.0;
-}
-
 double ServiceStats::wire_latency_quantile(Endpoint endpoint, double q) const {
   Histogram merged(0.0, options_.latency_hi_us,
                    std::max<std::size_t>(options_.latency_bins, 1));
   for (const auto& s : stripes_)
     s->per_endpoint[static_cast<std::size_t>(endpoint)]->wire_latency.merge_into(merged);
   return merged.quantile(q);
-}
-
-double ServiceStats::mean_wire_latency_us(Endpoint endpoint) const {
-  std::uint64_t n = 0;
-  double sum = 0.0;
-  for (const auto& s : stripes_) {
-    const auto& acc = s->per_endpoint[static_cast<std::size_t>(endpoint)]->wire_stats;
-    n += acc.n.load(kRelaxed);
-    sum += acc.sum.load(kRelaxed);
-  }
-  return n ? sum / static_cast<double>(n) : 0.0;
-}
-
-double ServiceStats::retrain_latency_quantile(double q) const {
-  Histogram merged(0.0, options_.retrain_hi_us,
-                   std::max<std::size_t>(options_.retrain_bins, 1));
-  retrain_hist_.merge_into(merged);
-  return merged.quantile(q);
-}
-
-double ServiceStats::mean_retrain_depth() const {
-  const std::uint64_t n = retrain_depth_stats_.n.load(kRelaxed);
-  return n ? retrain_depth_stats_.sum.load(kRelaxed) / static_cast<double>(n) : 0.0;
-}
-
-double ServiceStats::max_retrain_depth() const {
-  return retrain_depth_stats_.n.load(kRelaxed) ? retrain_depth_stats_.max.load(kRelaxed)
-                                               : 0.0;
 }
 
 double ServiceStats::mean_batch_size() const {
@@ -462,20 +412,6 @@ double ServiceStats::mean_batch_size() const {
     sum += s->batch_stats.sum.load(kRelaxed);
   }
   return n ? sum / static_cast<double>(n) : 0.0;
-}
-
-double ServiceStats::max_batch_size() const {
-  double mx = 0.0;
-  for (const auto& s : stripes_)
-    if (s->batch_stats.n.load(kRelaxed)) mx = std::max(mx, s->batch_stats.max.load(kRelaxed));
-  return mx;
-}
-
-double ServiceStats::batch_quantile(double q) const {
-  Histogram merged(1.0, static_cast<double>(options_.max_batch) + 1.0,
-                   std::max<std::size_t>(options_.max_batch, 1));
-  for (const auto& s : stripes_) s->batch_hist.merge_into(merged);
-  return merged.quantile(q);
 }
 
 double ServiceStats::mean_queue_depth() const {

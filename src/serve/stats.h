@@ -1,7 +1,7 @@
 // Thread-safe service telemetry: per-endpoint latency histograms (reusing
 // util/histogram bin layout for the p50/p99 quantiles), admission/rejection/
-// QPS counters, queue-depth samples, and the micro-batcher's batch-size
-// distribution. Dumpable through the repo's standard ASCII-table/CSV
+// QPS counters, queue-depth samples, and the micro-batcher's mean batch
+// size. Dumpable through the repo's standard ASCII-table/CSV
 // renderer. Latencies are wall-clock measurements and reporting-only: no
 // request result depends on them.
 //
@@ -49,12 +49,6 @@ struct StatsOptions {
   /// beyond are clamped into the last bin.
   double latency_hi_us = 20000.0;
   std::size_t latency_bins = 400;
-  /// Batch-size histogram range [1, max_batch + 1).
-  std::size_t max_batch = 64;
-  /// Retrain latency histogram range [0, retrain_hi_us): background GA runs
-  /// are orders of magnitude slower than request service.
-  double retrain_hi_us = 5.0e6;
-  std::size_t retrain_bins = 200;
   /// Hot-path stripe count (rounded up to a power of two). Each recording
   /// thread hashes to one stripe; more stripes = less false sharing at the
   /// cost of read-time aggregation work. 8 covers typical worker pools.
@@ -209,8 +203,6 @@ class ServiceStats {
 
   /// One background retrain task finished; latency is the task's run time.
   void record_retrain(double latency_us);
-  /// A retrain task was enqueued; `queue_depth` is sampled just after.
-  void record_retrain_enqueue(std::size_t queue_depth);
   void record_retrain_coalesced();
   void record_retrain_rejected();
   void record_retrain_cancelled(std::uint64_t count);
@@ -222,15 +214,8 @@ class ServiceStats {
   FleetCounters fleet_counters() const;
   WireCounters wire_counters() const;
   double wire_latency_quantile(Endpoint endpoint, double q) const;
-  double mean_wire_latency_us(Endpoint endpoint) const;
   double latency_quantile(Endpoint endpoint, double q) const;
-  double mean_latency_us(Endpoint endpoint) const;
-  double retrain_latency_quantile(double q) const;
-  double mean_retrain_depth() const;
-  double max_retrain_depth() const;
   double mean_batch_size() const;
-  double max_batch_size() const;
-  double batch_quantile(double q) const;
   double mean_queue_depth() const;
   double max_queue_depth() const;
   std::uint64_t batches() const;
@@ -325,7 +310,6 @@ class ServiceStats {
   struct alignas(64) Stripe {
     explicit Stripe(const StatsOptions& options);
     std::vector<std::unique_ptr<EndpointStripe>> per_endpoint;  // kEndpointCount
-    AtomicHist batch_hist;
     AtomicAccum batch_stats;
     std::atomic<std::uint64_t> batches{0};
     AtomicAccum depth_stats;
@@ -351,9 +335,7 @@ class ServiceStats {
   // behind a per-tenant quota check that already does an atomic RMW — one
   // more unstriped relaxed counter does not change the contention picture.
   std::array<std::atomic<std::uint64_t>, 4> fleet_counters_{};
-  AtomicHist retrain_hist_;
   AtomicAccum retrain_stats_;
-  AtomicAccum retrain_depth_stats_;
 };
 
 /// Load accounting for one shard (the single service is a one-row list).

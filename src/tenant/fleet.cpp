@@ -6,8 +6,7 @@
 namespace rafiki::tenant {
 
 serve::ShardOptions TenantFleet::shard_options(const FleetOptions& options) {
-  // One snapshot slot / version counter / retrain key-space per tenant in
-  // every shard; whatever the caller left in shard.service.tenants is
+  // One snapshot slot / version counter per tenant in every shard; whatever the caller left in shard.service.tenants is
   // overridden — the fleet is the single source of truth for the tenant set.
   serve::ShardOptions shard = options.shard;
   shard.service.tenants = std::max<std::size_t>(options.tenants, 1);
@@ -22,9 +21,12 @@ TenantFleet::~TenantFleet() { stop(); }
 
 void TenantFleet::attach_rafiki(const core::Rafiki& rafiki,
                                 core::OnlineTunerOptions tuner_options) {
+  // One memo for the fleet: a bucket one tenant's window searched is a hit
+  // for every other tenant, and its install republishes into every slot.
+  const auto memo = std::make_shared<core::TuneMemo>(rafiki, tuner_options.rr_bucket);
   for (std::size_t t = 0; t < registry_.size(); ++t) {
     TenantState& state = registry_.at(t);
-    state.tuner = std::make_unique<core::OnlineTuner>(rafiki, tuner_options);
+    state.tuner = std::make_unique<core::OnlineTuner>(memo, tuner_options);
     attach_tenant_tuner(static_cast<serve::TenantId>(t), *state.tuner);
   }
 }

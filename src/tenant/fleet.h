@@ -12,17 +12,20 @@
 //                       ShardedTuningService::try_submit (the base class)
 //                              route (tenant, band) ──▶ shard k
 //                                        │                  │ per-tenant
-//                                        │                  │ snapshot slot,
-//                                        │                  │ retrain keys
+//                                        │                  │ snapshot slot
 //                                        ▼                  ▼
 //                                 per-tenant OnlineTuner (registry-owned)
+//                                        │ one shared TuneMemo: a bucket is
+//                                        ▼ searched once for every tenant
 //
-// The fleet IS the sharded router, configured with one snapshot slot /
-// version counter / retrain key-space per tenant: it derives from
-// ShardedTuningService and overrides only try_submit, so publish, routing,
-// lifecycle and telemetry are the router's own code. Tenant 0 is the default
-// namespace, so a fleet of one is bit-for-bit the original single-tenant
-// stack.
+// The fleet IS the sharded router, configured with one snapshot slot and
+// version counter per tenant: it derives from ShardedTuningService and
+// overrides only try_submit, so publish, routing, lifecycle and telemetry
+// are the router's own code. Every tenant's tuner reads one TuneMemo over
+// the shared model, so a (model, bucket) pair costs one GA run and one
+// retrain task fleet-wide, and its result is republished into every
+// tenant's slot. Tenant 0 is the default namespace, so a fleet of one is
+// bit-for-bit the original single-tenant stack.
 //
 // Admission order is deliberate: registry lookup (unknown tenant -> the
 // typed kNotReady the wire already carries), then the in-flight cap, then
@@ -70,10 +73,11 @@ class TenantFleet : public serve::ShardedTuningService {
   TenantFleet(const TenantFleet&) = delete;
   TenantFleet& operator=(const TenantFleet&) = delete;
 
-  /// Builds one OnlineTuner per tenant over the shared trained model and
-  /// wires each into the router (per-tenant publish fan-out, per-tenant
-  /// retrain key-space, ObserveWindow binding). `rafiki` must be trained and
-  /// must outlive this fleet. Call before start().
+  /// Builds one OnlineTuner per tenant, all over one TuneMemo of the shared
+  /// trained model, and wires each into the router (per-tenant publish
+  /// fan-out, ObserveWindow binding; retrain tasks keyed by bucket, so
+  /// same-bucket misses from any tenant coalesce). `rafiki` must be trained
+  /// and must outlive this fleet. Call before start().
   void attach_rafiki(const core::Rafiki& rafiki,
                      core::OnlineTunerOptions tuner_options = {});
 

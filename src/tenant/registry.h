@@ -1,6 +1,7 @@
 // The tenant registry: the fleet's authoritative map from tenant id to that
 // tenant's admission quota and (once attach_rafiki runs) its own OnlineTuner
-// — private memo cache, private GA state, private reconfiguration counters.
+// — its own current config and reconfiguration counters, over the memo every
+// tenant's tuner shares.
 // Tenants are dense ids [0, size); the registry is sized at construction and
 // never grows, so find() is a bounds check plus an index — no lock on the
 // admission path.
@@ -31,9 +32,9 @@ struct TenantState {
 
   const serve::TenantId id;
   /// The tenant's own tuner (null until TenantFleet::attach_rafiki). All
-  /// tenants share one trained Rafiki model, but each tuner memoizes and
-  /// optimizes independently — tenant A's regime history never warms or
-  /// poisons tenant B's cache.
+  /// tenants share one trained Rafiki model and one TuneMemo: a bucket tenant
+  /// A's window searched is a hit for tenant B, while each tuner keeps its
+  /// own current config, regime anchor and counters.
   std::unique_ptr<core::OnlineTuner> tuner;
   TenantQuota quota;
 };

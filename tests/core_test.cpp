@@ -6,8 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
 #include "core/fitness.h"
 #include "core/online.h"
+#include "engine/params.h"
 #include "ml/metrics.h"
 
 namespace rafiki::core {
@@ -129,6 +138,115 @@ TEST_F(PipelineTest, OnlineTunerReconfiguresOnRegimeChange) {
   const auto back = tuner.on_window(0.9);
   EXPECT_TRUE(back.reconfigured);
   EXPECT_EQ(tuner.optimizer_runs(), 2u);
+}
+
+TEST_F(PipelineTest, SharedMemoTunersDecideLikePrivateTunersWithOneSearchPerBucket) {
+  // Four tenants walk the same five-regime script, once with a private memo
+  // each and once over one shared memo. The GA is deterministic in (model,
+  // bucket), so sharing changes who searches, never what anyone decides.
+  constexpr std::size_t kTenants = 4;
+  const std::vector<double> script = {0.9, 0.85, 0.1, 0.3, 0.5, 0.7, 0.9, 0.12, 0.5};
+  const auto memo = std::make_shared<TuneMemo>(*rafiki_);
+  std::vector<std::unique_ptr<OnlineTuner>> own, shared;
+  std::vector<std::vector<int>> published(kTenants);
+  for (std::size_t t = 0; t < kTenants; ++t) {
+    own.push_back(std::make_unique<OnlineTuner>(*rafiki_));
+    shared.push_back(std::make_unique<OnlineTuner>(memo));
+    shared.back()->set_publish_hook(
+        [&published, t](int bucket, const Rafiki::OptimizeResult&) {
+          published[t].push_back(bucket);
+        });
+  }
+  for (std::size_t w = 0; w < script.size(); ++w) {
+    for (std::size_t t = 0; t < kTenants; ++t) {
+      const auto a = own[t]->on_window(script[w]);
+      const auto b = shared[t]->on_window(script[w]);
+      EXPECT_EQ(a.config, b.config) << "window " << w << " tenant " << t;
+      EXPECT_EQ(a.reconfigured, b.reconfigured) << "window " << w << " tenant " << t;
+      EXPECT_EQ(a.stale, b.stale) << "window " << w << " tenant " << t;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.predicted_throughput),
+                std::bit_cast<std::uint64_t>(b.predicted_throughput))
+          << "window " << w << " tenant " << t;
+    }
+  }
+  std::size_t own_runs = 0;
+  std::size_t shared_runs = 0;
+  for (std::size_t t = 0; t < kTenants; ++t) {
+    own_runs += own[t]->optimizer_runs();
+    shared_runs += shared[t]->optimizer_runs();
+    EXPECT_EQ(own[t]->reconfigurations(), shared[t]->reconfigurations()) << t;
+    // Every member's publish hook saw every install, in install order.
+    EXPECT_EQ(published[t], (std::vector<int>{9, 1, 3, 5, 7})) << t;
+  }
+  EXPECT_EQ(own_runs, 20u);
+  EXPECT_EQ(shared_runs, 5u);
+  EXPECT_EQ(memo->buckets(), (std::vector<int>{1, 3, 5, 7, 9}));
+}
+
+TEST_F(PipelineTest, SharedMemoRejectsADifferentBucketWidth) {
+  const auto memo = std::make_shared<TuneMemo>(*rafiki_);
+  OnlineTunerOptions options;
+  options.rr_bucket = 0.05;
+  EXPECT_THROW(OnlineTuner(memo, options), std::invalid_argument);
+  EXPECT_THROW(TuneMemo(*rafiki_, 0.0), std::invalid_argument);
+}
+
+TEST(TuneMemoGeneration, SearchCutForAReplacedActiveSetIsDropped) {
+  RafikiOptions options;
+  options.workload_grid = {0.2, 0.8};
+  options.n_configs = 6;
+  options.collect.measure.ops = 3000;
+  options.collect.measure.warmup_ops = 300;
+  options.base_workload.initial_keys = 5000;
+  options.ensemble.n_nets = 2;
+  options.ensemble.train.max_epochs = 20;
+  options.ga.population = 32;
+  // Long enough that the active-set swaps below land inside one search.
+  options.ga.generations = 600;
+  options.dynamic_knobs = true;
+  Rafiki rafiki(options);
+  const auto& key = engine::key_params();
+  const std::vector<engine::ParamId> set_a = {key[0], key[1]};
+  const std::vector<engine::ParamId> set_b = {key[2], key[3]};
+  rafiki.set_active_params(set_a);
+  rafiki.train(rafiki.collect());
+
+  const auto memo = std::make_shared<TuneMemo>(rafiki);
+  OnlineTuner tuner(memo);
+  std::atomic<int> publishes{0};
+  tuner.set_publish_hook([&publishes](int, const Rafiki::OptimizeResult&) {
+    publishes.fetch_add(1, std::memory_order_relaxed);
+  });
+
+  // An entry cut for set A.
+  ASSERT_TRUE(tuner.run_optimize(0.8));
+  ASSERT_TRUE(tuner.cached(0.8));
+  ASSERT_EQ(publishes.load(), 1);
+
+  // A second thread searches bucket 2 while this one keeps swapping the
+  // active set, so the set the search started under is gone when it ends.
+  std::atomic<bool> done{false};
+  std::thread search([&] {
+    tuner.run_optimize(0.2);
+    done.store(true, std::memory_order_release);
+  });
+  bool to_b = true;
+  while (!done.load(std::memory_order_acquire)) {
+    rafiki.set_active_params(to_b ? set_b : set_a);
+    to_b = !to_b;
+  }
+  search.join();
+
+  // The stale search ran but installed and published nothing, and the
+  // set-A entry went with it: no entry cut for an old set survives.
+  EXPECT_EQ(tuner.optimizer_runs(), 2u);
+  EXPECT_EQ(publishes.load(), 1);
+  EXPECT_TRUE(memo->buckets().empty());
+
+  // With the set steady, the bucket is searched again in the current set.
+  EXPECT_TRUE(tuner.run_optimize(0.2));
+  EXPECT_EQ(memo->buckets(), (std::vector<int>{2}));
+  EXPECT_EQ(publishes.load(), 2);
 }
 
 TEST(RafikiOptionsTest, PredictBeforeTrainThrows) {

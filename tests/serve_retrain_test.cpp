@@ -368,6 +368,38 @@ TEST_F(ServeRetrain, PrefetchRoutesThroughTheRetrainWorker) {
   service.stop();
 }
 
+TEST_F(ServeRetrain, OutOfRangeReadRatiosClampIntoTheBoundedMemo) {
+  ServiceOptions options;
+  options.workers = 1;
+  core::OnlineTuner tuner(*rafiki_);
+  TuningService service(options);
+  service.publish(make_snapshot(*rafiki_));
+  service.attach_tuner(tuner);
+  service.start();
+
+  // The wire accepts any finite read ratio. Each entry point clamps it into
+  // [0, 1] first, so hostile values land on the edge buckets instead of
+  // minting a GA run and a memo entry per distinct value.
+  const std::vector<double> ratios = {-5.0, 1.7, 42.0, 1e300, -1e300};
+  for (double rr : ratios) {
+    EXPECT_TRUE(service.call(window_request(rr)).ok()) << rr;
+    tuner.prefetch(rr);
+    service.wait_retrain_idle();
+  }
+  const auto buckets = tuner.memo()->buckets();
+  EXPECT_LE(buckets.size(), 11u);
+  EXPECT_LE(tuner.optimizer_runs(), 11u);
+  for (int bucket : buckets) {
+    EXPECT_GE(bucket, 0);
+    EXPECT_LE(bucket, 10);
+  }
+  EXPECT_EQ(buckets, (std::vector<int>{0, 10}));
+  EXPECT_EQ(tuner.optimizer_runs(), 2u);
+  EXPECT_EQ(tuner.bucket_for(-1e300), 0);
+  EXPECT_EQ(tuner.bucket_for(1e300), 10);
+  service.stop();
+}
+
 TEST_F(ServeRetrain, ConcurrentOnWindowAndPrefetchAreRaceFree) {
   // Satellite regression (tsan probe): standalone tuner — no service, no
   // async hook, so misses optimize inline — hammered by concurrent
