@@ -17,9 +17,9 @@
 //      every miss is answered immediately with a stale-marked config while
 //      the GA runs in the background and republishes; the bars are zero
 //      failures, stale-marked cache misses, tuned configs appearing in later
-//      snapshot versions, and (without sanitizers) ObserveWindow p99 far
-//      below the mean background-retrain latency — proof the request path
-//      no longer absorbs optimizer spikes.
+//      snapshot versions, and (without sanitizers) ObserveWindow p99, over
+//      at least 1,000 windows, below the mean background-retrain latency —
+//      proof the request path no longer absorbs optimizer spikes.
 //   E. Shard scaling — a callback closed loop (1 / 64 / 256 logical clients,
 //      zero client threads; max_batch = 1) against shards in {1, 2, 4, 8}
 //      after an untimed route warm-up, with per-shard request / worker-CPU /
@@ -34,6 +34,7 @@
 // Results go to stdout (ASCII tables) and BENCH_serve.json. `--smoke` keeps
 // everything tiny for CI; `--out <path>` redirects the JSON; `--shards N`
 // routes phases B-D through an N-shard router.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -56,6 +57,9 @@
 using namespace rafiki;
 
 namespace {
+
+/// Samples behind every gated p99: with fewer, the p99 is the maximum.
+constexpr std::size_t kP99Samples = 1000;
 
 struct MicroResult {
   std::size_t batch = 0;
@@ -90,7 +94,6 @@ struct RegimeResult {
   std::uint64_t failed = 0;
   std::uint64_t stale_windows = 0;       // cache-miss windows served stale-marked
   std::uint64_t retrain_runs = 0;        // background GA executions
-  std::uint64_t retrain_coalesced = 0;   // duplicate-bucket requests absorbed
   std::uint64_t versions_published = 0;  // snapshot versions after the run
   std::uint64_t tuned_buckets = 0;       // tuned entries in the final snapshot
   double predict_p99_us = 0.0;
@@ -320,7 +323,6 @@ RegimeResult regime_bench(const core::Rafiki& rafiki, std::size_t shards,
   for (auto f : failed) result.failed += f;
   for (auto s : stale) result.stale_windows += s;
   result.retrain_runs = telemetry.retrain.runs;
-  result.retrain_coalesced = telemetry.retrain.coalesced;
   result.versions_published = service->model_version();
   const auto snapshot = service->snapshot();
   result.tuned_buckets = snapshot ? snapshot->tuned.size() : 0;
@@ -578,7 +580,7 @@ void write_json(const std::string& path, const std::vector<MicroResult>& micro,
   std::fprintf(out,
                "  \"regime_changes\": {\"predicts\": %llu, \"windows\": %llu, "
                "\"failed\": %llu, \"stale_windows\": %llu, \"retrain_runs\": %llu, "
-               "\"retrain_coalesced\": %llu, \"versions_published\": %llu, "
+               "\"versions_published\": %llu, "
                "\"tuned_buckets\": %llu, \"predict_p99_us\": %.1f, "
                "\"observe_p99_us\": %.1f, \"retrain_mean_us\": %.1f},\n",
                static_cast<unsigned long long>(regime.predicts),
@@ -586,7 +588,6 @@ void write_json(const std::string& path, const std::vector<MicroResult>& micro,
                static_cast<unsigned long long>(regime.failed),
                static_cast<unsigned long long>(regime.stale_windows),
                static_cast<unsigned long long>(regime.retrain_runs),
-               static_cast<unsigned long long>(regime.retrain_coalesced),
                static_cast<unsigned long long>(regime.versions_published),
                static_cast<unsigned long long>(regime.tuned_buckets),
                regime.predict_p99_us, regime.observe_p99_us, regime.retrain_mean_us);
@@ -682,12 +683,15 @@ int main(int argc, char** argv) {
   benchutil::compare("predict_batch(32) vs predict speedup", ">= 4x",
                      Table::num(accept.speedup, 2) + "x");
 
-  // Phase B: closed-loop service load grid.
+  // Phase B: closed-loop service load grid. The single-client rows carry
+  // gate B, a p99: they make at least kP99Samples calls, so the p99 is the
+  // 10th-slowest call rather than the slowest.
   const std::size_t calls = smoke ? 60 : 400;
   std::vector<LoadResult> load;
   for (std::size_t clients : {1u, 4u, 8u}) {
+    const std::size_t per_client = clients == 1 ? std::max(calls, kP99Samples) : calls;
     for (std::size_t max_batch : {1u, 32u}) {
-      load.push_back(load_bench(rafiki, shards, clients, max_batch, calls));
+      load.push_back(load_bench(rafiki, shards, clients, max_batch, per_client));
     }
   }
   Table load_table({"clients", "max batch", "shards", "QPS", "p50 us", "p99 us",
@@ -703,7 +707,7 @@ int main(int argc, char** argv) {
   for (const auto& l : load) {
     if (l.clients == 1 && l.max_batch == 32) single_batched = &l;
   }
-  benchutil::compare("single-client batched p99 (adaptive flush)", "< 1000 us",
+  benchutil::compare("single-client batched p99 (1000 calls)", "< 1000 us",
                      Table::num(single_batched->p99_us, 1) + " us");
 
   // Phase C: snapshot swaps during active load.
@@ -717,16 +721,16 @@ int main(int argc, char** argv) {
                      std::to_string(swap.failed));
 
   // Phase D: regime changes mixed into the closed loop — the async-retrain
-  // acceptance scenario.
-  const auto regime = regime_bench(rafiki, shards, smoke ? 4 : 8, smoke ? 120 : 600,
-                                   smoke ? 20 : 40);
+  // acceptance scenario. Both profiles serve kP99Samples windows, so gate
+  // D's ObserveWindow p99 is a quantile, not the slowest window.
+  const auto regime = regime_bench(rafiki, shards, smoke ? 4 : 8, smoke ? 1000 : 2000,
+                                   smoke ? 4 : 16);
   Table regime_table({"metric", "value"});
   regime_table.add_row({"Predict completed", std::to_string(regime.predicts)});
   regime_table.add_row({"ObserveWindow completed", std::to_string(regime.windows)});
   regime_table.add_row({"failed requests", std::to_string(regime.failed)});
   regime_table.add_row({"stale-served windows", std::to_string(regime.stale_windows)});
   regime_table.add_row({"background retrain runs", std::to_string(regime.retrain_runs)});
-  regime_table.add_row({"retrains coalesced", std::to_string(regime.retrain_coalesced)});
   regime_table.add_row({"snapshot versions", std::to_string(regime.versions_published)});
   regime_table.add_row({"tuned buckets in final snapshot",
                         std::to_string(regime.tuned_buckets)});
@@ -846,14 +850,22 @@ int main(int argc, char** argv) {
   // off-path-retrain bar additionally needs a core for the background
   // thread to run on — with a single hardware thread the GA preempts the
   // request worker and the tail absorbs it regardless of architecture.
+  // Both p99s are taken over at least kP99Samples calls.
   if (benchutil::kPerfGate && std::thread::hardware_concurrency() >= 2) {
-    gates.check(regime.observe_p99_us < regime.retrain_mean_us, "D ObserveWindow p99",
-                Table::num(regime.observe_p99_us, 1) + " us",
-                "< retrain mean " + Table::num(regime.retrain_mean_us, 1) + " us");
+    gates.check(regime.windows >= kP99Samples &&
+                    regime.observe_p99_us < regime.retrain_mean_us,
+                "D ObserveWindow p99",
+                Table::num(regime.observe_p99_us, 1) + " us over " + count(regime.windows) +
+                    " windows",
+                "< retrain mean " + Table::num(regime.retrain_mean_us, 1) + " us over >= " +
+                    count(kP99Samples));
   }
   if (benchutil::kPerfGate) {
-    gates.check(single_batched->p99_us < 1000.0, "B single-client batched p99",
-                Table::num(single_batched->p99_us, 1) + " us", "< 1000 us");
+    gates.check(single_batched->ok >= kP99Samples && single_batched->p99_us < 1000.0,
+                "B single-client batched p99",
+                Table::num(single_batched->p99_us, 1) + " us over " +
+                    count(single_batched->ok) + " calls",
+                "< 1000 us over >= " + count(kP99Samples));
   }
   // Sharding gates: structural ones always on (zero failures, parity,
   // a real migration); the scaling ratios only where 8 clients can

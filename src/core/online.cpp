@@ -26,13 +26,15 @@ int TuneMemo::bucket_for(double read_ratio) const noexcept {
   return static_cast<int>(std::round(clamp_read_ratio(read_ratio) / rr_bucket_));
 }
 
-bool TuneMemo::contains(int bucket) const {
+bool TuneMemo::contains(int bucket) {
   MutexLock lock(mutex_);
+  sync_generation_locked();
   return entries_.count(bucket) != 0;
 }
 
-std::vector<int> TuneMemo::buckets() const {
+std::vector<int> TuneMemo::buckets() {
   MutexLock lock(mutex_);
+  sync_generation_locked();
   std::vector<int> out;
   out.reserve(entries_.size());
   for (const auto& entry : entries_) out.push_back(entry.first);
@@ -40,12 +42,23 @@ std::vector<int> TuneMemo::buckets() const {
 }
 
 std::optional<TuneMemo::Entry> TuneMemo::find(int bucket, double read_ratio,
-                                              const MissHook* on_miss) const {
+                                              const MissHook* on_miss) {
   MutexLock lock(mutex_);
+  sync_generation_locked();
   const auto it = entries_.find(bucket);
   if (it != entries_.end()) return it->second;
-  if (on_miss != nullptr) (*on_miss)(bucket, read_ratio);
+  // The push and the mark happen under one lock, so the worker's optimize()
+  // (which needs this lock) always finds the mark it is to clear.
+  if (on_miss != nullptr && handed_off_.count(bucket) == 0 &&
+      in_flight_.count(bucket) == 0 && (*on_miss)(bucket, read_ratio)) {
+    handed_off_.insert(bucket);
+  }
   return std::nullopt;
+}
+
+void TuneMemo::cancel(int bucket) {
+  MutexLock lock(mutex_);
+  handed_off_.erase(bucket);
 }
 
 void TuneMemo::sync_generation_locked() {
@@ -66,6 +79,9 @@ bool TuneMemo::optimize(int bucket, double read_ratio) {
   std::size_t stamp = 0;
   {
     MutexLock lock(mutex_);
+    // Whatever happens next, the hand-off (if any) has been taken up: a
+    // later miss sees the bucket cached, in flight, or free to hand off.
+    handed_off_.erase(bucket);
     for (;;) {
       sync_generation_locked();
       if (entries_.count(bucket) != 0) return false;  // coalesced: already optimized
@@ -212,11 +228,15 @@ bool OnlineTuner::run_optimize(double read_ratio) {
   return true;
 }
 
+void OnlineTuner::cancel_optimize(double read_ratio) {
+  memo_->cancel(bucket_for(read_ratio));
+}
+
 void OnlineTuner::prefetch(double read_ratio) {
   read_ratio = TuneMemo::clamp_read_ratio(read_ratio);
   {
     MutexLock lock(mutex_);
-    // A miss is handed off under the memo lock, like on_window's (see
+    // A miss is handed off by the memo, like on_window's (see
     // TuneMemo::find); without a hook it optimizes inline below.
     const AsyncOptimizeHook* on_miss = async_optimize_ ? &async_optimize_ : nullptr;
     if (memo_->find(bucket_for(read_ratio), read_ratio, on_miss) || on_miss) return;
@@ -228,8 +248,9 @@ OnlineTuner::Decision OnlineTuner::on_window(double read_ratio) {
   read_ratio = TuneMemo::clamp_read_ratio(read_ratio);
   {
     MutexLock lock(mutex_);
-    // With the async hook set, a miss is already on the background worker
-    // (stale-while-revalidate): answer with the current config immediately.
+    // With the async hook set, a miss is pending on the background worker
+    // (or was refused, and a later window retries it): stale-while-
+    // revalidate answers with the current config immediately.
     const Decision decision = decide_locked(read_ratio, /*hand_off=*/true);
     if (!decision.stale || async_optimize_) return decision;
   }

@@ -64,6 +64,11 @@ class OnlineTuner;
 /// generation (Rafiki::tune_stats().changes); when the set changes, the memo
 /// empties, and a search that started under the old set is discarded rather
 /// than installed.
+///
+/// The memo is also the one record that a bucket's search is pending: a
+/// bucket is handed to a background worker only when it is neither handed
+/// off nor in flight, so any number of misses, from any member, cost one
+/// background task per bucket.
 class TuneMemo {
  public:
   /// `rafiki` must already be trained and must outlive the memo.
@@ -79,8 +84,9 @@ class TuneMemo {
   /// [0, round(1 / rr_bucket)].
   int bucket_for(double read_ratio) const noexcept;
 
-  /// Cached buckets in ascending order.
-  std::vector<int> buckets() const;
+  /// Cached buckets in ascending order (entries of a replaced active knob
+  /// set are gone).
+  std::vector<int> buckets();
 
   double rr_bucket() const noexcept { return rr_bucket_; }
 
@@ -88,26 +94,35 @@ class TuneMemo {
   friend class OnlineTuner;
 
   /// Whether the bucket holds an optimized config.
-  bool contains(int bucket) const;
+  bool contains(int bucket);
 
   struct Entry {
     engine::Config config;
     double predicted_throughput = 0.0;
   };
-  using MissHook = std::function<void(int bucket, double read_ratio)>;
+  /// Hands a missed bucket to a background search; returns whether the
+  /// search was accepted (false: the queue was full or stopping).
+  using MissHook = std::function<bool(int bucket, double read_ratio)>;
 
-  /// The bucket's entry, or nullopt. On a miss, `on_miss` (may be null) runs
-  /// with the memo lock held: a miss handed off there cannot fall between a
-  /// search's install (under this lock) and that search's retrain task
-  /// retiring, so it always coalesces into the task that is about to fill
-  /// the bucket. The hook must only enqueue, never call back into the memo.
-  std::optional<Entry> find(int bucket, double read_ratio, const MissHook* on_miss) const;
+  /// The bucket's entry, or nullopt. Entries cut for an active knob set that
+  /// has since changed are dropped first, so a hit is always current. On a
+  /// miss, `on_miss` (may be null) runs with the memo lock held, and only
+  /// when the bucket is neither handed off nor being searched: this is the
+  /// one place that coalesces background searches. An accepted hand-off
+  /// marks the bucket until optimize() starts it or cancel() forgets it; a
+  /// refused one leaves it unmarked, so a later miss hands it off again. The
+  /// hook must only enqueue, never call back into the memo.
+  std::optional<Entry> find(int bucket, double read_ratio, const MissHook* on_miss);
 
   /// Searches the bucket at `read_ratio` unless it is cached or another
-  /// caller is already searching it (then waits for that search). Installs
-  /// the result and fires every member's publish hook. Returns true when
-  /// this call ran the GA.
+  /// caller is already searching it (then waits for that search). Moves a
+  /// hand-off mark into the in-flight set, installs the result and fires
+  /// every member's publish hook. Returns true when this call ran the GA.
   bool optimize(int bucket, double read_ratio);
+
+  /// Forgets a hand-off whose search will never run (its task was cancelled
+  /// at shutdown), so a later miss hands the bucket off again.
+  void cancel(int bucket);
 
   /// Empties the memo if the active knob set changed since its entries were
   /// cut.
@@ -119,10 +134,12 @@ class TuneMemo {
   const Rafiki* rafiki_;
   double rr_bucket_;
 
-  mutable Mutex mutex_;
+  Mutex mutex_;
   CondVar optimize_done_;
   /// bucket -> optimized config
   std::map<int, Entry> entries_ GUARDED_BY(mutex_);
+  /// buckets handed to the async hook whose search has not started yet
+  std::set<int> handed_off_ GUARDED_BY(mutex_);
   /// buckets currently being searched (lock dropped for the GA itself)
   std::set<int> in_flight_ GUARDED_BY(mutex_);
   /// Active-set generation every entry in entries_ was cut under.
@@ -179,6 +196,11 @@ class OnlineTuner {
   /// (in which case this waits for that result).
   bool run_optimize(double read_ratio);
 
+  /// A search handed off through the async-optimize hook for this read
+  /// ratio will never run (its task was cancelled): the memo forgets the
+  /// hand-off, so the next miss in the bucket hands it off again.
+  void cancel_optimize(double read_ratio);
+
   /// Pre-computes (and caches) the optimized configuration for a forecast
   /// read ratio (see workload::WorkloadForecaster), so an anticipated regime
   /// switch pays no optimizer latency inside the critical window. Routes
@@ -201,10 +223,12 @@ class OnlineTuner {
 
   /// When set, memo misses (on_window / prefetch) are delegated here
   /// instead of optimizing inline — the serve layer points this at its
-  /// RetrainWorker so no GA ever runs on a request-path thread. Invoked with
-  /// the memo lock held: it must only enqueue, never call into the tuner or
-  /// its memo.
-  using AsyncOptimizeHook = std::function<void(int bucket, double read_ratio)>;
+  /// RetrainWorker so no GA ever runs on a request-path thread. Returns
+  /// whether the search was accepted. The memo calls it at most once per
+  /// pending search of a bucket, whichever member missed (see
+  /// TuneMemo::find). Invoked with the memo lock held: it must only enqueue,
+  /// never call into the tuner or its memo.
+  using AsyncOptimizeHook = std::function<bool(int bucket, double read_ratio)>;
   void set_async_optimize_hook(AsyncOptimizeHook hook);
 
   /// Memoization key shared by on_window and prefetch (see

@@ -3,9 +3,9 @@
 // (try_push returns kFull -> the service answers Overloaded) instead of
 // queuing unboundedly or blocking the producer. Consumers block on a
 // condition variable; after close() they drain whatever is still queued and
-// then observe std::nullopt. The timed pop exists only for the
-// micro-batcher's real-time flush window — nothing a request *returns*
-// depends on these waits, so the determinism contract is untouched.
+// then observe std::nullopt. Nothing a request *returns* depends on these
+// waits, so the determinism contract is untouched. The request queue and
+// the RetrainWorker's backlog are both this class.
 //
 // Hot-path discipline (the shard de-scaling fix, DESIGN.md §5d):
 //   * try_push takes an rvalue and moves from it ONLY on kOk — a rejected
@@ -15,8 +15,7 @@
 //     is actually blocked (waiters_ > 0): a hot queue whose consumers are
 //     spinning or mid-drain costs zero futex syscalls per push.
 //   * Consumers spin briefly on a relaxed size hint before taking the lock
-//     (pop/pop_until), so under sustained load they never sleep-wake per
-//     request. The spin is disabled on single-hardware-thread machines,
+//     (pop), so under sustained load they never sleep-wake per request. The spin is disabled on single-hardware-thread machines,
 //     where it could only steal cycles from the producer.
 //
 // The locking discipline is a compile-time contract (util/sync.h): every
@@ -28,7 +27,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -98,24 +96,6 @@ class BoundedQueue {
   /// Non-blocking pop.
   std::optional<T> try_pop() {
     MutexLock lock(mutex_);
-    return take_locked();
-  }
-
-  /// Blocks until an item arrives, the queue closes, or `deadline` (real
-  /// time) passes — the micro-batcher's flush-window wait. Whatever ended
-  /// the wait (arrival, close, or timeout racing an arrival), anything
-  /// already queued is still drained: the final take runs under the lock
-  /// after the wait loop, so a timeout-adjacent push is returned, not lost.
-  std::optional<T> pop_until(std::chrono::steady_clock::time_point deadline) {
-    spin_for_hint();
-    MutexLock lock(mutex_);
-    if (!closed_ && items_.empty()) {
-      waiters_.fetch_add(1, std::memory_order_relaxed);
-      while (!closed_ && items_.empty()) {
-        if (ready_.wait_until(mutex_, deadline) == std::cv_status::timeout) break;
-      }
-      waiters_.fetch_sub(1, std::memory_order_relaxed);
-    }
     return take_locked();
   }
 

@@ -3,133 +3,95 @@
 #include <chrono>
 #include <utility>
 
+#include "core/online.h"
+
 namespace rafiki::serve {
 
-RetrainWorker::RetrainWorker(RunFn run, RetrainOptions options, ServiceStats* stats)
-    : run_(std::move(run)), options_(options), stats_(stats) {}
+namespace {
+constexpr auto kRelaxed = std::memory_order_relaxed;
+}  // namespace
 
-RetrainWorker::~RetrainWorker() { stop(/*drain=*/false); }
+RetrainWorker::RetrainWorker(ServiceStats* stats) : stats_(stats) {}
 
-RetrainWorker::Ticket RetrainWorker::finished_ticket(RetrainEnqueue result) {
-  Ticket ticket;
-  ticket.result = result;
-  std::promise<RetrainOutcome> promise;
-  ticket.done = promise.get_future().share();
-  promise.set_value(RetrainOutcome::kCancelled);
-  return ticket;
-}
+RetrainWorker::~RetrainWorker() { stop(); }
 
-RetrainWorker::Ticket RetrainWorker::enqueue(std::uint64_t key, double read_ratio) {
-  Ticket ticket;
-  {
-    MutexLock lock(mutex_);
-    if (stopping_ || stopped_) return finished_ticket(RetrainEnqueue::kStopped);
-    const auto pending = pending_.find(key);
-    if (pending != pending_.end()) {
-      ticket.result = RetrainEnqueue::kCoalesced;
-      ticket.done = pending->second;
-    } else if (tasks_.size() >= options_.queue_capacity) {
-      ticket = finished_ticket(RetrainEnqueue::kRejected);
-    } else {
-      Task task;
-      task.key = key;
-      task.read_ratio = read_ratio;
-      task.future = task.promise.get_future().share();
-      pending_.emplace(key, task.future);
-      ticket.result = RetrainEnqueue::kEnqueued;
-      ticket.done = task.future;
-      tasks_.push_back(std::move(task));
-    }
+bool RetrainWorker::enqueue(Task task) {
+  const PushResult pushed = queue_.try_push(std::move(task));
+  if (pushed == PushResult::kOk) {
+    accepted_.fetch_add(1, kRelaxed);
+    return true;
   }
-  if (ticket.result == RetrainEnqueue::kEnqueued) {
-    ready_.notify_one();
-  } else if (ticket.result == RetrainEnqueue::kCoalesced) {
-    if (stats_) stats_->record_retrain_coalesced();
-  } else if (ticket.result == RetrainEnqueue::kRejected) {
-    if (stats_) stats_->record_retrain_rejected();
-  }
-  return ticket;
+  if (pushed == PushResult::kFull && stats_) stats_->record_retrain_rejected();
+  return false;
 }
 
 void RetrainWorker::start() {
   MutexLock lock(mutex_);
-  if (started_ || stopping_ || stopped_) return;
+  if (started_ || stopping_.load(kRelaxed)) return;
   started_ = true;
   thread_ = std::thread([this] { loop(); });
 }
 
 void RetrainWorker::loop() {
-  for (;;) {
-    Task task;
-    {
-      MutexLock lock(mutex_);
-      while (!stopping_ && tasks_.empty()) ready_.wait(mutex_);
-      if (tasks_.empty()) break;                 // stopping with nothing queued
-      if (stopping_ && !drain_on_stop_) break;   // cancel mode: stop() fails the backlog
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
-      running_ = true;
+  // After stop() closes the queue, pop() still hands back what is queued:
+  // the stopping flag turns those into cancellations.
+  while (auto task = queue_.pop()) {
+    if (stopping_.load(kRelaxed)) {
+      cancel(*task);
+    } else {
+      run(*task);
     }
-
-    // det:ok(wall-clock): reporting-only retrain latency measurement
-    const auto t0 = std::chrono::steady_clock::now();
-    run_(task.key, task.read_ratio);
-    // det:ok(wall-clock): reporting-only retrain latency measurement
-    const auto t1 = std::chrono::steady_clock::now();
-    if (stats_) {
-      stats_->record_retrain(
-          std::chrono::duration<double, std::micro>(t1 - t0).count());
-    }
-
-    {
-      MutexLock lock(mutex_);
-      pending_.erase(task.key);
-      running_ = false;
-    }
-    task.promise.set_value(RetrainOutcome::kCompleted);
-    idle_.notify_all();
   }
 }
 
-void RetrainWorker::stop(bool drain) {
-  {
-    MutexLock lock(mutex_);
-    if (stopped_) return;
-    stopping_ = true;
-    drain_on_stop_ = drain;
+void RetrainWorker::run(Task& task) {
+  // det:ok(wall-clock): reporting-only retrain latency measurement
+  const auto t0 = std::chrono::steady_clock::now();
+  if (task.run) {
+    task.run();
+  } else {
+    task.tuner->run_optimize(task.read_ratio);
   }
-  ready_.notify_all();
-  if (thread_.joinable()) thread_.join();
+  // det:ok(wall-clock): reporting-only retrain latency measurement
+  const auto t1 = std::chrono::steady_clock::now();
+  if (stats_) stats_->record_retrain(std::chrono::duration<double, std::micro>(t1 - t0).count());
+  settle();
+}
 
-  // Whatever the loop left behind (cancel mode, or stop before start):
-  // resolve every promise instead of abandoning its futures.
-  std::deque<Task> leftover;
+void RetrainWorker::cancel(Task& task) {
+  if (task.tuner != nullptr) task.tuner->cancel_optimize(task.read_ratio);
+  if (stats_) stats_->record_retrain_cancelled();
+  settle();
+}
+
+void RetrainWorker::settle() {
   {
     MutexLock lock(mutex_);
-    stopped_ = true;
-    leftover.swap(tasks_);
-    pending_.clear();
-  }
-  for (auto& task : leftover) task.promise.set_value(RetrainOutcome::kCancelled);
-  if (stats_ && !leftover.empty()) {
-    stats_->record_retrain_cancelled(static_cast<std::uint64_t>(leftover.size()));
+    ++settled_;
   }
   idle_.notify_all();
 }
 
-std::size_t RetrainWorker::depth() const {
-  MutexLock lock(mutex_);
-  return tasks_.size();
-}
-
-bool RetrainWorker::stopping() const {
-  MutexLock lock(mutex_);
-  return stopping_;
+void RetrainWorker::stop() {
+  {
+    MutexLock lock(mutex_);
+    if (stopped_) return;
+    stopping_.store(true, kRelaxed);
+  }
+  queue_.close();
+  if (thread_.joinable()) thread_.join();
+  // Stop before start: no thread drained the backlog, so cancel it here.
+  while (auto task = queue_.try_pop()) cancel(*task);
+  {
+    MutexLock lock(mutex_);
+    stopped_ = true;
+  }
+  idle_.notify_all();
 }
 
 void RetrainWorker::wait_idle() {
   MutexLock lock(mutex_);
-  while (!stopped_ && !(tasks_.empty() && !running_)) idle_.wait(mutex_);
+  while (!stopped_ && settled_ < accepted_.load(kRelaxed)) idle_.wait(mutex_);
 }
 
 }  // namespace rafiki::serve

@@ -59,17 +59,7 @@ TuningService::TuningService(ServiceOptions options)
       version_counters_(options_.tenants, 0),
       pending_tuned_(options_.tenants),
       queue_(options_.queue_capacity),
-      stats_(options_.stats),
-      retrain_(
-          // The worker thread delegates to the owning tenant's optimize
-          // path; the tuner coalesces already-cached buckets into a no-op,
-          // and its publish hook republishes the result through that
-          // tenant's registry slot.
-          [this](std::uint64_t key, double read_ratio) {
-            auto* tuner = tenant_tuner(retrain_key_tenant(key));
-            if (tuner != nullptr) tuner->run_optimize(read_ratio);
-          },
-          options_.retrain, &stats_),
+      retrain_(&stats_),
       tuners_(options_.tenants) {}
 
 TuningService::~TuningService() { stop(); }
@@ -109,9 +99,10 @@ void TuningService::attach_tuner(core::OnlineTuner& tuner) {
     publish_tuned(0, bucket, result.config, result.predicted_throughput);
   });
   // Route the tuner's cache misses (ObserveWindow staleness, prefetch) to
-  // the background worker: no GA ever runs on a request-path thread.
-  tuner.set_async_optimize_hook([this](int bucket, double read_ratio) {
-    retrain_.enqueue(retrain_key(0, bucket), read_ratio);
+  // the background worker: no GA ever runs on a request-path thread. The
+  // task runs this tuner's search, whose publish hook is set above.
+  tuner.set_async_optimize_hook([this, &tuner](int /*bucket*/, double read_ratio) {
+    return retrain_.enqueue({&tuner, read_ratio, {}});
   });
   tuners_[0].store(&tuner, std::memory_order_release);
 }
@@ -199,9 +190,9 @@ void TuningService::stop() {
   }
   workers_.clear();
   // Request workers are gone, so nothing can enqueue retrains anymore; the
-  // background worker drains or cancels its backlog (an in-flight GA always
-  // completes and still republishes through the registry).
-  retrain_.stop(options_.drain_retrain_on_stop);
+  // background worker cancels its backlog (an in-flight GA always completes
+  // and still republishes through the registry).
+  retrain_.stop();
   // No worker ever consumed these (workers == 0, or stop before start):
   // fail them instead of leaving their futures hanging.
   while (auto job = queue_.try_pop()) {
@@ -212,7 +203,7 @@ void TuningService::stop() {
 }
 
 Telemetry TuningService::telemetry() const {
-  Telemetry out(options_.stats);
+  Telemetry out;
   fold_into(out);
   return out;
 }
@@ -241,27 +232,16 @@ void TuningService::worker_loop(std::size_t worker_index) {
       continue;
     }
 
-    // Micro-batcher: coalesce queued Predict requests behind this one, up to
-    // max_batch or until the flush window elapses. A non-Predict request
+    // Micro-batcher: coalesce the Predict requests queued behind this one,
+    // up to max_batch. An empty queue means no co-arriving requests, so the
+    // batch runs now rather than waiting for more. A non-Predict request
     // popped while draining terminates the batch and runs right after it.
     std::vector<Job> batch;
     batch.push_back(std::move(*job));
     std::optional<Job> carry;
-    // The flush window is real time by design: it affects only how requests
-    // are grouped into batches, never what any request returns.
-    // det:ok(wall-clock): real-time micro-batch flush window, grouping only
-    const auto flush_at = std::chrono::steady_clock::now() + options_.batch_window;
     while (batch.size() < options_.max_batch) {
       auto next = queue_.try_pop();
-      if (!next) {
-        // Adaptive flush: an empty queue means no co-arriving requests to
-        // coalesce — run what we have now rather than stalling everyone in
-        // the batch for the rest of the window (the 1-client/batch-32 case
-        // degraded to window-bound throughput before this).
-        if (options_.adaptive_batch) break;
-        next = queue_.pop_until(flush_at);
-        if (!next) break;  // window elapsed (or queue closed and drained)
-      }
+      if (!next) break;
       if (next->request.endpoint == Endpoint::kPredict) {
         batch.push_back(std::move(*next));
       } else {

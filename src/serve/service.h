@@ -6,16 +6,17 @@
 //   * Admission control — a full queue rejects with Overloaded immediately;
 //     producers never block past capacity. Each request carries a deadline
 //     in injected-clock ticks, checked before execution.
-//   * Micro-batching — concurrent Predict requests are coalesced (up to
-//     ServiceOptions::max_batch, or a real-time flush window) into a single
-//     batched ensemble evaluation (SurrogateEnsemble::predict_batch).
+//   * Micro-batching — a worker that pops a Predict drains the Predicts
+//     queued behind it (up to ServiceOptions::max_batch, stopping as soon as
+//     the queue is empty) into a single batched ensemble evaluation
+//     (SurrogateEnsemble::predict_batch).
 //   * Versioned snapshots — publish() atomically swaps the model behind an
 //     atomic shared_ptr; in-flight requests keep the version they started
 //     with. A background retrain republishes with zero downtime.
 //   * Async retraining — ObserveWindow is stale-while-revalidate: a cache
 //     miss answers immediately with the current config (Response::stale set)
-//     and enqueues the bucket on a dedicated RetrainWorker thread; the GA
-//     never runs on a request-path worker (serve/retrain.h).
+//     and the tuner's memo hands the bucket to a dedicated RetrainWorker
+//     thread; the GA never runs on a request-path worker (serve/retrain.h).
 //   * Telemetry — per-endpoint latency histograms, QPS / rejection /
 //     queue-depth counters, mean batch size, retrain queue depth and mean
 //     latency (serve/stats.h).
@@ -49,9 +50,9 @@ namespace rafiki::serve {
 struct ServiceOptions {
   /// Tenant namespaces served by this instance (dense ids [0, tenants)).
   /// Every tenant gets its own snapshot slot, version counter, pending-tuned
-  /// table, tuner pointer, and retrain coalescing key-space. 1 (the default)
-  /// is exactly the original single-tenant service: tenant 0 is the default
-  /// namespace pre-tenant callers land in. 0 is normalized to 1.
+  /// table and tuner pointer. 1 (the default) is exactly the original
+  /// single-tenant service: tenant 0 is the default namespace pre-tenant
+  /// callers land in. 0 is normalized to 1.
   std::size_t tenants = 1;
   /// Worker threads spawned by start(). 0 is valid (and useful in tests):
   /// requests queue deterministically until start() is called with workers.
@@ -66,17 +67,11 @@ struct ServiceOptions {
   std::vector<int> cpu_affinity;
   /// Bounded request queue capacity; the admission-control limit.
   std::size_t queue_capacity = 256;
-  /// Micro-batcher: flush a Predict batch at this many coalesced requests...
+  /// Micro-batcher: a Predict batch runs at this many coalesced requests, or
+  /// as soon as the queue momentarily empties. Under load the queue is never
+  /// empty and batches fill to max_batch; a lone client gets queue-depth-1
+  /// latency, never a wait for co-arrivals.
   std::size_t max_batch = 32;
-  /// ...or once this much real time has passed since the batch opened.
-  std::chrono::microseconds batch_window{200};
-  /// Adaptive flush: run the batch as soon as the queue momentarily empties
-  /// instead of sleeping out the remainder of batch_window. Under load the
-  /// queue is never empty and batches still fill to max_batch; a lone client
-  /// gets queue-depth-1 latency instead of a mandatory window stall. Disable
-  /// to get the strict fill-or-time-out batcher (the injected-clock batch
-  /// tests use this mode).
-  bool adaptive_batch = true;
   /// Virtual clock for request deadlines. Deterministic by construction: the
   /// default never advances, so deadlines never expire unless a clock is
   /// injected (tests drive an atomic counter; a deployment would plug in a
@@ -84,14 +79,6 @@ struct ServiceOptions {
   std::function<Tick()> clock_fn;
   /// GA budget for the Optimize endpoint.
   opt::GaOptions ga{};
-  StatsOptions stats{};
-  /// Background retrain worker (ObserveWindow misses, tuner prefetches).
-  RetrainOptions retrain{};
-  /// stop(): finish the queued retrain backlog (true) or cancel it (false).
-  /// Cancelling is the default — pending optimizations have no waiter once
-  /// the service is going down, and a restart simply re-enqueues on the
-  /// next stale window.
-  bool drain_retrain_on_stop = false;
 };
 
 class TuningService : public TuningBackend {
@@ -113,8 +100,8 @@ class TuningService : public TuningBackend {
   std::uint64_t tenant_model_version(TenantId tenant) const override;
 
   /// Enables the ObserveWindow endpoint. The tuner (which must outlive this
-  /// service) becomes stale-while-revalidate: its cache misses and
-  /// prefetches are routed to this service's background RetrainWorker, and
+  /// service) becomes stale-while-revalidate: its memo hands cache misses
+  /// and prefetches to this service's background RetrainWorker, and
   /// its publish hook is pointed at the snapshot registry, so every freshly
   /// optimized config is republished as a new snapshot version. Call before
   /// start().
@@ -126,13 +113,9 @@ class TuningService : public TuningBackend {
   /// every shard through this. Pointer only.
   void bind_tenant_tuner(TenantId tenant, core::OnlineTuner& tuner);
 
-  /// Enqueues a background retrain of `bucket` on this service's
-  /// RetrainWorker (the router's async-optimize target), run by `tenant`'s
-  /// tuner. Coalesces within `tenant`'s key-space; the router passes the
-  /// tenant that owns a shared memo, so tenants sharing one coalesce.
-  void enqueue_retrain(TenantId tenant, int bucket, double read_ratio) {
-    retrain_.enqueue(retrain_key(tenant, bucket), read_ratio);
-  }
+  /// This service's background worker (the router's async-optimize
+  /// target for the buckets this shard owns).
+  RetrainWorker& retrain_worker() noexcept { return retrain_; }
 
   /// Publishes one tuned (bucket -> config) entry into `tenant`'s slot by
   /// copy-on-write republication of its current snapshot; every other
@@ -155,9 +138,11 @@ class TuningService : public TuningBackend {
   /// Spawns the worker pool (idempotent). Requests submitted before start()
   /// wait in the queue.
   void start() override;
-  /// Closes admission, drains the backlog, joins workers. Queued requests
-  /// are still answered (drained by the workers, or failed with
-  /// ShuttingDown if no worker ever ran). Idempotent.
+  /// Closes admission, drains the backlog, joins workers, then stops the
+  /// retrain worker (a running search completes, queued ones are
+  /// cancelled). Queued requests are still answered (drained by the
+  /// workers, or failed with ShuttingDown if no worker ever ran).
+  /// Idempotent.
   void stop() override;
 
   const ServiceStats& stats() const noexcept override { return stats_; }

@@ -68,7 +68,7 @@ std::uint64_t ShardedTuningService::route_fingerprint(TenantId tenant,
 }
 
 ShardedTuningService::ShardedTuningService(ShardOptions options)
-    : options_(std::move(options)), router_stats_(options_.service.stats) {
+    : options_(std::move(options)) {
   options_.shards = std::clamp<std::size_t>(options_.shards, 1, 128);
   shards_.reserve(options_.shards);
   // Divide the fleet budget across shards instead of handing every shard its
@@ -119,23 +119,13 @@ void ShardedTuningService::attach_tenant_tuner(TenantId tenant, core::OnlineTune
       [this, tenant](int bucket, const core::Rafiki::OptimizeResult& result) {
         publish_tuned(tenant, bucket, result.config, result.predicted_throughput);
       });
-  // Background searches are keyed and routed by the memo, not the tenant:
-  // tuners sharing one memo share the key-space of its lowest bound tenant,
-  // and a bucket always routes to the shard owning its centre band. So
-  // same-bucket misses from any tenant coalesce into one RetrainWorker task,
-  // and no second shard's retrain thread parks waiting on the first's GA.
-  TenantId owner = tenant;
-  for (TenantId t = 0; t < options_.service.tenants; ++t) {
-    const core::OnlineTuner* bound = shards_.front()->tenant_tuner(t);
-    if (t != tenant && bound != nullptr && bound->memo() == tuner.memo()) {
-      owner = t;
-      break;
-    }
-  }
+  // The memo hands a bucket off once however many tenants miss it; the
+  // task always runs on the shard owning the bucket's centre band, so no
+  // second shard's retrain thread parks waiting on the first's GA.
   const double rr_bucket = tuner.memo()->rr_bucket();
-  tuner.set_async_optimize_hook([this, owner, rr_bucket](int bucket, double read_ratio) {
+  tuner.set_async_optimize_hook([this, &tuner, rr_bucket](int bucket, double read_ratio) {
     const std::size_t band = band_of(bucket * rr_bucket);
-    shards_[shard_of_key(owner, band)]->enqueue_retrain(owner, bucket, read_ratio);
+    return shards_[shard_of_band(band)]->retrain_worker().enqueue({&tuner, read_ratio, {}});
   });
   for (auto& shard : shards_) shard->bind_tenant_tuner(tenant, tuner);
 }
@@ -285,7 +275,7 @@ std::size_t ShardedTuningService::resolved_worker_budget() const noexcept {
 }
 
 Telemetry ShardedTuningService::telemetry() const {
-  Telemetry out(options_.service.stats);
+  Telemetry out;
   router_stats_.fold_into(out);
   for (const auto& shard : shards_) shard->fold_into(out);
   out.spills = spills();

@@ -10,7 +10,7 @@
 //                                                  └────────────────┴─ retrain
 //
 // Each shard is a full TuningService — its own bounded queue, worker pool,
-// micro-batcher, snapshot registry slots, and retrain coalescing map — so the
+// micro-batcher, snapshot registry slots, and retrain worker — so the
 // hot path shares NOTHING across shards: no common queue mutex, no common
 // stats lock (ServiceStats is itself striped), no common registry. Requests
 // are routed by a stable fingerprint of their (tenant, read-ratio band) key
@@ -142,10 +142,10 @@ class ShardedTuningService : public TuningBackend {
   /// Tenant-fleet variant of attach_tuner: claims `tuner`'s hooks for one
   /// tenant namespace — republishes fan out into every shard's slot for
   /// `tenant` only, and the tuner is bound to every shard's ObserveWindow
-  /// path for this tenant. Background optimizations are keyed by the
-  /// tuner's memo: tuners sharing a TuneMemo enqueue under the retrain
-  /// key-space of its lowest bound tenant, on the shard owning the bucket's
-  /// centre band, so one bucket costs one task fleet-wide.
+  /// path for this tenant. Background optimizations run on the shard owning
+  /// the bucket's centre band (shard_of_band); the tuner's memo hands each
+  /// bucket off once, so tuners sharing a TuneMemo cost one task per bucket
+  /// fleet-wide.
   void attach_tenant_tuner(TenantId tenant, core::OnlineTuner& tuner);
 
   /// Tenant-qualified tuned-entry fan-out (all shards, one tenant slot,

@@ -8,9 +8,18 @@ namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
+/// Latency histogram range [0, kLatencyHiUs) in microseconds, in
+/// kLatencyBins uniform bins (50 us each); samples beyond are clamped into
+/// the last bin.
+constexpr double kLatencyHiUs = 20000.0;
+constexpr std::size_t kLatencyBins = 400;
+/// Hot-path stripe count. Each recording thread lands on one stripe; 8
+/// covers typical worker pools.
+constexpr std::size_t kStripes = 8;
+
 /// Stripe slot for the calling thread. Slots are handed out by an atomic
 /// ticket counter on first use (NOT by hashing the thread id, which the
-/// determinism lint bans); masked by the stripe count, so with stripes >=
+/// determinism lint bans); reduced modulo the stripe count, so with stripes >=
 /// worker-pool size each worker effectively owns a slab.
 std::size_t thread_slot() noexcept {
   static std::atomic<std::size_t> next{0};
@@ -18,11 +27,7 @@ std::size_t thread_slot() noexcept {
   return slot;
 }
 
-std::size_t pow2_at_least(std::size_t n) noexcept {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
+Histogram latency_histogram() { return Histogram(0.0, kLatencyHiUs, kLatencyBins); }
 
 }  // namespace
 
@@ -90,26 +95,22 @@ void ServiceStats::AtomicHist::merge_into(Histogram& out) const noexcept {
 
 // --- stripe construction ----------------------------------------------------
 
-ServiceStats::EndpointStripe::EndpointStripe(const StatsOptions& options)
-    : latency(0.0, options.latency_hi_us, std::max<std::size_t>(options.latency_bins, 1)),
-      wire_latency(0.0, options.latency_hi_us,
-                   std::max<std::size_t>(options.latency_bins, 1)) {}
+ServiceStats::EndpointStripe::EndpointStripe()
+    : latency(0.0, kLatencyHiUs, kLatencyBins), wire_latency(0.0, kLatencyHiUs, kLatencyBins) {}
 
-ServiceStats::Stripe::Stripe(const StatsOptions& options) {
+ServiceStats::Stripe::Stripe() {
   per_endpoint.reserve(kEndpointCount);
   for (std::size_t i = 0; i < kEndpointCount; ++i)
-    per_endpoint.push_back(std::make_unique<EndpointStripe>(options));
+    per_endpoint.push_back(std::make_unique<EndpointStripe>());
 }
 
-ServiceStats::ServiceStats(StatsOptions options) : options_(options) {
-  const std::size_t n = pow2_at_least(std::max<std::size_t>(options_.stripes, 1));
-  stripe_mask_ = n - 1;
-  stripes_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) stripes_.push_back(std::make_unique<Stripe>(options_));
+ServiceStats::ServiceStats() {
+  stripes_.reserve(kStripes);
+  for (std::size_t i = 0; i < kStripes; ++i) stripes_.push_back(std::make_unique<Stripe>());
 }
 
 ServiceStats::Stripe& ServiceStats::stripe() noexcept {
-  return *stripes_[thread_slot() & stripe_mask_];
+  return *stripes_[thread_slot() % kStripes];
 }
 
 // --- record path (relaxed atomics only; no locks) ---------------------------
@@ -162,9 +163,7 @@ void ServiceStats::record_stale(Endpoint endpoint) {
 }
 
 void ServiceStats::record_batch(std::size_t batch_size) {
-  Stripe& s = stripe();
-  s.batches.fetch_add(1, kRelaxed);
-  s.batch_stats.add(static_cast<double>(batch_size));
+  stripe().batch_stats.add(static_cast<double>(batch_size));
 }
 
 void ServiceStats::record_connection_open() {
@@ -215,16 +214,12 @@ void ServiceStats::record_retrain(double latency_us) {
   retrain_stats_.add(latency_us);
 }
 
-void ServiceStats::record_retrain_coalesced() {
+void ServiceStats::record_retrain_rejected() {
   retrain_counters_[1].fetch_add(1, kRelaxed);
 }
 
-void ServiceStats::record_retrain_rejected() {
+void ServiceStats::record_retrain_cancelled() {
   retrain_counters_[2].fetch_add(1, kRelaxed);
-}
-
-void ServiceStats::record_retrain_cancelled(std::uint64_t count) {
-  retrain_counters_[3].fetch_add(count, kRelaxed);
 }
 
 void ServiceStats::record_tenant_admit() { fleet_counters_[0].fetch_add(1, kRelaxed); }
@@ -290,10 +285,8 @@ ServiceStats::Counters ServiceStats::totals() const {
   return sum;
 }
 
-ServiceStats::EndpointAggregate::EndpointAggregate(const StatsOptions& options)
-    : latency(0.0, options.latency_hi_us, std::max<std::size_t>(options.latency_bins, 1)),
-      wire_latency(0.0, options.latency_hi_us,
-                   std::max<std::size_t>(options.latency_bins, 1)) {}
+ServiceStats::EndpointAggregate::EndpointAggregate()
+    : latency(latency_histogram()), wire_latency(latency_histogram()) {}
 
 double ServiceStats::EndpointAggregate::mean_latency_us() const noexcept {
   return latency_count ? latency_sum / static_cast<double>(latency_count) : 0.0;
@@ -310,7 +303,7 @@ void ServiceStats::EndpointAggregate::merge(const EndpointAggregate& other) noex
 }
 
 ServiceStats::EndpointAggregate ServiceStats::endpoint_aggregate(Endpoint endpoint) const {
-  EndpointAggregate agg(options_);
+  EndpointAggregate agg;
   fill_counters(endpoint, agg.counters);
   for (const auto& s : stripes_) {
     const auto& per = *s->per_endpoint[static_cast<std::size_t>(endpoint)];
@@ -327,9 +320,8 @@ ServiceStats::EndpointAggregate ServiceStats::endpoint_aggregate(Endpoint endpoi
 ServiceStats::RetrainCounters ServiceStats::retrain_counters() const {
   RetrainCounters out;
   out.runs = retrain_counters_[0].load(kRelaxed);
-  out.coalesced = retrain_counters_[1].load(kRelaxed);
-  out.rejected = retrain_counters_[2].load(kRelaxed);
-  out.cancelled = retrain_counters_[3].load(kRelaxed);
+  out.rejected = retrain_counters_[1].load(kRelaxed);
+  out.cancelled = retrain_counters_[2].load(kRelaxed);
   return out;
 }
 
@@ -371,7 +363,6 @@ void ServiceStats::fold_into(Telemetry& out) const {
   }
   const RetrainCounters retrain = retrain_counters();
   out.retrain.runs += retrain.runs;
-  out.retrain.coalesced += retrain.coalesced;
   out.retrain.rejected += retrain.rejected;
   out.retrain.cancelled += retrain.cancelled;
   out.retrain_latency_sum_us += retrain_stats_.sum.load(kRelaxed);
@@ -389,16 +380,14 @@ void ServiceStats::fold_into(Telemetry& out) const {
 }
 
 double ServiceStats::latency_quantile(Endpoint endpoint, double q) const {
-  Histogram merged(0.0, options_.latency_hi_us,
-                   std::max<std::size_t>(options_.latency_bins, 1));
+  Histogram merged = latency_histogram();
   for (const auto& s : stripes_)
     s->per_endpoint[static_cast<std::size_t>(endpoint)]->latency.merge_into(merged);
   return merged.quantile(q);
 }
 
 double ServiceStats::wire_latency_quantile(Endpoint endpoint, double q) const {
-  Histogram merged(0.0, options_.latency_hi_us,
-                   std::max<std::size_t>(options_.latency_bins, 1));
+  Histogram merged = latency_histogram();
   for (const auto& s : stripes_)
     s->per_endpoint[static_cast<std::size_t>(endpoint)]->wire_latency.merge_into(merged);
   return merged.quantile(q);
@@ -433,12 +422,12 @@ double ServiceStats::max_queue_depth() const {
 
 std::uint64_t ServiceStats::batches() const {
   std::uint64_t sum = 0;
-  for (const auto& s : stripes_) sum += s->batches.load(kRelaxed);
+  for (const auto& s : stripes_) sum += s->batch_stats.n.load(kRelaxed);
   return sum;
 }
 
 Table ServiceStats::table() const {
-  Telemetry telemetry(options_);
+  Telemetry telemetry;
   fold_into(telemetry);
   return telemetry.table();
 }
@@ -470,10 +459,7 @@ Table ServiceStats::wire_table() const {
 
 // --- Telemetry --------------------------------------------------------------
 
-Telemetry::Telemetry(const StatsOptions& options) {
-  endpoints.reserve(kEndpointCount);
-  for (std::size_t i = 0; i < kEndpointCount; ++i) endpoints.emplace_back(options);
-}
+Telemetry::Telemetry() : endpoints(kEndpointCount) {}
 
 double Telemetry::latency_quantile(Endpoint endpoint, double q) const {
   return endpoints[static_cast<std::size_t>(endpoint)].latency.quantile(q);

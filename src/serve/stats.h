@@ -44,22 +44,11 @@
 
 namespace rafiki::serve {
 
-struct StatsOptions {
-  /// Latency histogram range [0, latency_hi_us) in microseconds; samples
-  /// beyond are clamped into the last bin.
-  double latency_hi_us = 20000.0;
-  std::size_t latency_bins = 400;
-  /// Hot-path stripe count (rounded up to a power of two). Each recording
-  /// thread hashes to one stripe; more stripes = less false sharing at the
-  /// cost of read-time aggregation work. 8 covers typical worker pools.
-  std::size_t stripes = 8;
-};
-
 struct Telemetry;
 
 class ServiceStats {
  public:
-  explicit ServiceStats(StatsOptions options = {});
+  ServiceStats();
 
   ServiceStats(const ServiceStats&) = delete;
   ServiceStats& operator=(const ServiceStats&) = delete;
@@ -93,7 +82,6 @@ class ServiceStats {
   /// Background-retrain telemetry (the RetrainWorker's counters).
   struct RetrainCounters {
     std::uint64_t runs = 0;       ///< tasks executed by the worker thread
-    std::uint64_t coalesced = 0;  ///< enqueues absorbed by a pending same-bucket task
     std::uint64_t rejected = 0;   ///< enqueues dropped on a full retrain queue
     std::uint64_t cancelled = 0;  ///< queued tasks cancelled at shutdown
   };
@@ -151,7 +139,7 @@ class ServiceStats {
   /// folded together. fold_into merges these across stats objects (the
   /// router's and every shard's) into one Telemetry value.
   struct EndpointAggregate {
-    explicit EndpointAggregate(const StatsOptions& options);
+    EndpointAggregate();
     Counters counters;
     Histogram latency;
     Histogram wire_latency;
@@ -161,8 +149,8 @@ class ServiceStats {
     double wire_sum = 0.0;
 
     double mean_latency_us() const noexcept;
-    /// Folds another shard's aggregate in; histogram ranges must match
-    /// (same StatsOptions), which shards sharing one template guarantee.
+    /// Folds another shard's aggregate in (every histogram has the same
+    /// fixed layout).
     void merge(const EndpointAggregate& other) noexcept;
   };
 
@@ -203,9 +191,8 @@ class ServiceStats {
 
   /// One background retrain task finished; latency is the task's run time.
   void record_retrain(double latency_us);
-  void record_retrain_coalesced();
   void record_retrain_rejected();
-  void record_retrain_cancelled(std::uint64_t count);
+  void record_retrain_cancelled();
 
   Counters counters(Endpoint endpoint) const;
   Counters totals() const;
@@ -232,8 +219,6 @@ class ServiceStats {
   /// Wire-level summary ("metric | value" rows: connections, frames, bytes,
   /// decode errors, per-endpoint wire p50/p99).
   Table wire_table() const;
-
-  const StatsOptions& options() const noexcept { return options_; }
 
  private:
   /// Relaxed-atomic count/sum/max accumulator (the striped stand-in for the
@@ -296,7 +281,7 @@ class ServiceStats {
   };
 
   struct EndpointStripe {
-    explicit EndpointStripe(const StatsOptions& options);
+    EndpointStripe();
     std::array<std::atomic<std::uint64_t>, kCtrCount> counters{};
     AtomicHist latency;
     AtomicAccum latency_stats;
@@ -308,10 +293,10 @@ class ServiceStats {
   /// lines; within a stripe, (mostly) one thread writes. Endpoint slabs sit
   /// behind unique_ptr because atomics make them non-movable.
   struct alignas(64) Stripe {
-    explicit Stripe(const StatsOptions& options);
+    Stripe();
     std::vector<std::unique_ptr<EndpointStripe>> per_endpoint;  // kEndpointCount
+    /// One add per Predict micro-batch: n counts batches, sum their rows.
     AtomicAccum batch_stats;
-    std::atomic<std::uint64_t> batches{0};
     AtomicAccum depth_stats;
     std::array<std::atomic<std::uint64_t>, kWireCount> wire{};
   };
@@ -324,13 +309,11 @@ class ServiceStats {
   void add_wire_counters(WireCounters& out) const noexcept;
   void fill_counters(Endpoint endpoint, Counters& out) const noexcept;
 
-  StatsOptions options_;
-  std::size_t stripe_mask_ = 0;
   std::vector<std::unique_ptr<Stripe>> stripes_;
 
   // Retrain telemetry is written by one background thread plus low-rate
   // enqueuers: plain (unstriped) relaxed atomics are contention-free enough.
-  std::array<std::atomic<std::uint64_t>, 4> retrain_counters_{};
+  std::array<std::atomic<std::uint64_t>, 3> retrain_counters_{};
   // Fleet admission telemetry: written on the front-end's submit path, but
   // behind a per-tenant quota check that already does an atomic RMW — one
   // more unstriped relaxed counter does not change the contention picture.
@@ -355,7 +338,7 @@ struct ShardLoad {
 /// router's spill and rebalance counts. Built on each telemetry() call, so
 /// the ServiceStats memory-ordering contract applies: exact after stop().
 struct Telemetry {
-  explicit Telemetry(const StatsOptions& options);
+  Telemetry();
 
   /// One aggregate per Endpoint, in enum order. Admission verdicts are
   /// summed as recorded, so a spilled request counts one Overloaded reject

@@ -249,6 +249,40 @@ TEST(TuneMemoGeneration, SearchCutForAReplacedActiveSetIsDropped) {
   EXPECT_EQ(publishes.load(), 2);
 }
 
+TEST(TuneMemoGeneration, DecideStopsServingEntriesOfAReplacedActiveSet) {
+  RafikiOptions options;
+  options.workload_grid = {0.2, 0.8};
+  options.n_configs = 6;
+  options.collect.measure.ops = 3000;
+  options.collect.measure.warmup_ops = 300;
+  options.base_workload.initial_keys = 5000;
+  options.ensemble.n_nets = 2;
+  options.ensemble.train.max_epochs = 20;
+  options.ga.population = 16;
+  options.ga.generations = 4;
+  options.dynamic_knobs = true;
+  Rafiki rafiki(options);
+  const auto& key = engine::key_params();
+  rafiki.set_active_params({key[0], key[1]});
+  rafiki.train(rafiki.collect());
+
+  OnlineTuner tuner(rafiki);
+  ASSERT_TRUE(tuner.run_optimize(0.8));
+  const auto warm = tuner.decide(0.8);
+  ASSERT_FALSE(warm.stale);
+
+  // A new active set with no search after it: the decide path itself must
+  // drop the entry cut for the old set, not adopt it.
+  rafiki.set_active_params({key[2], key[3]});
+  OnlineTuner fresh(tuner.memo());
+  const auto decision = fresh.decide(0.8);
+  EXPECT_TRUE(decision.stale);
+  EXPECT_FALSE(decision.reconfigured);
+  EXPECT_EQ(decision.config, engine::Config::defaults());
+  EXPECT_FALSE(tuner.cached(0.8));
+  EXPECT_TRUE(tuner.memo()->buckets().empty());
+}
+
 TEST(RafikiOptionsTest, PredictBeforeTrainThrows) {
   Rafiki rafiki(small_options());
   rafiki.set_key_params(engine::key_params());

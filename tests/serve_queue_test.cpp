@@ -2,7 +2,6 @@
 // under test — a full queue rejects immediately (never blocks the producer),
 // FIFO ordering, close() wakes blocked consumers and drains the backlog —
 // is what the service's Overloaded / ShuttingDown semantics are built on.
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -99,22 +98,6 @@ TEST(BoundedQueue, CloseWakesBlockedConsumers) {
   EXPECT_EQ(delivered, 1);
 }
 
-TEST(BoundedQueue, PopUntilTimesOutEmptyHanded) {
-  BoundedQueue<int> queue(2);
-  // det:ok(wall-clock): pop_until takes a real steady_clock deadline by design
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
-  EXPECT_FALSE(queue.pop_until(deadline).has_value());
-}
-
-TEST(BoundedQueue, PopUntilReturnsItemArrivingBeforeDeadline) {
-  BoundedQueue<int> queue(2);
-  std::thread producer([&queue] { ASSERT_EQ(PushResult::kOk, queue.try_push(42)); });
-  // det:ok(wall-clock): pop_until takes a real steady_clock deadline by design
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  EXPECT_EQ(queue.pop_until(deadline).value(), 42);
-  producer.join();
-}
-
 TEST(BoundedQueue, RejectedPushLeavesItemIntact) {
   // The sharded spill contract: try_push moves from its argument ONLY on
   // kOk, so a rejected item (move-only payload included) can be retried on a
@@ -139,27 +122,6 @@ TEST(BoundedQueue, RejectedPushLeavesItemIntact) {
   EXPECT_EQ(PushResult::kOk, sibling.try_push(std::move(payload)));
   EXPECT_EQ(payload, nullptr);
   EXPECT_EQ(**sibling.try_pop(), 42);
-}
-
-TEST(BoundedQueue, PopUntilDrainsRemainingItemsAfterTimeout) {
-  // Regression: a pop_until whose wait ends by timeout must still return
-  // anything already queued — the final take runs under the lock after the
-  // wait loop, so a timeout racing an arrival drains, never drops. An
-  // already-expired deadline is the deterministic worst case.
-  BoundedQueue<int> queue(4);
-  ASSERT_EQ(PushResult::kOk, queue.try_push(1));
-  ASSERT_EQ(PushResult::kOk, queue.try_push(2));
-  // det:ok(wall-clock): pop_until takes a real steady_clock deadline by design
-  const auto expired = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  EXPECT_EQ(queue.pop_until(expired).value(), 1);
-  EXPECT_EQ(queue.pop_until(expired).value(), 2);
-  EXPECT_FALSE(queue.pop_until(expired).has_value());
-
-  // Same contract across a close(): the backlog outlives the timeout path.
-  ASSERT_EQ(PushResult::kOk, queue.try_push(3));
-  queue.close();
-  EXPECT_EQ(queue.pop_until(expired).value(), 3);
-  EXPECT_FALSE(queue.pop_until(expired).has_value());
 }
 
 TEST(BoundedQueue, ApproxSizeTracksLockedSize) {

@@ -1,15 +1,17 @@
 // RetrainWorker and the stale-while-revalidate ObserveWindow path: lifecycle
-// edges (stop-before-start, stop with a retrain in flight, drain vs cancel),
-// per-bucket coalescing of duplicate requests into one GA run, the
-// stale-then-fresh window sequence under an injected clock, tuned entries
-// buffered until the first real snapshot publish, and the tuner's internal
-// synchronization under concurrent on_window/prefetch callers (a tsan probe).
+// edges (stop-before-start, stop with a retrain in flight), the memo's
+// one-hand-off-per-bucket coalescing, refused and cancelled hand-offs
+// leaving their bucket free to hand off again, the stale-then-fresh window
+// sequence under an injected clock, tuned entries buffered until the first
+// real snapshot publish, and the tuner's internal synchronization under
+// concurrent on_window/prefetch callers (a tsan probe).
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -26,17 +28,41 @@
 namespace rafiki::serve {
 namespace {
 
+/// The trained smoke pipeline every test here shares (built once).
+core::Rafiki& pipeline() {
+  static core::Rafiki* rafiki = [] {
+    core::RafikiOptions options;
+    options.workload_grid = {0.2, 0.8};
+    options.n_configs = 5;
+    options.collect.measure.ops = 3000;
+    options.collect.measure.warmup_ops = 300;
+    options.ensemble.n_nets = 3;
+    options.ensemble.train.max_epochs = 30;
+    options.ga.generations = 6;
+    options.ga.population = 10;
+    auto* built = new core::Rafiki(options);
+    built->set_key_params(engine::key_params());
+    built->train(built->collect());
+    return built;
+  }();
+  return *rafiki;
+}
+
 // ---------------------------------------------------------------------------
-// RetrainWorker alone, driven by an instrumented RunFn.
+// RetrainWorker, driven by instrumented closure tasks and by tuners whose
+// async-optimize hook counts its calls.
 
 class WorkerHarness {
  public:
-  RetrainWorker::RunFn fn() {
-    return [this](int bucket, double /*read_ratio*/) {
+  /// A closure task that records one run of `bucket`.
+  RetrainWorker::Task task(int bucket) {
+    RetrainWorker::Task task;
+    task.run = [this, bucket] {
       gate_.wait();
       std::lock_guard<std::mutex> lock(mutex_);
       ++runs_[bucket];
     };
+    return task;
   }
 
   /// Blocks every run until release() — keeps tasks deterministically
@@ -85,62 +111,61 @@ class WorkerHarness {
   std::map<int, int> runs_;
 };
 
-TEST(RetrainWorker, StopBeforeStartCancelsBacklogWithoutLosingFutures) {
-  WorkerHarness harness;
-  ServiceStats stats;
-  RetrainWorker worker(harness.fn(), {}, &stats);
-
-  const auto a = worker.enqueue(1, 0.1);
-  const auto b = worker.enqueue(2, 0.2);
-  ASSERT_EQ(a.result, RetrainEnqueue::kEnqueued);
-  ASSERT_EQ(b.result, RetrainEnqueue::kEnqueued);
-  EXPECT_EQ(worker.depth(), 2u);
-
-  worker.stop(/*drain=*/false);  // never started: nothing may hang
-  EXPECT_EQ(a.done.get(), RetrainOutcome::kCancelled);
-  EXPECT_EQ(b.done.get(), RetrainOutcome::kCancelled);
-  EXPECT_EQ(harness.total_runs(), 0);
-  EXPECT_EQ(stats.retrain_counters().cancelled, 2u);
-  EXPECT_EQ(stats.retrain_counters().runs, 0u);
-
-  // After stop, enqueues report kStopped with an already-resolved future.
-  const auto late = worker.enqueue(3, 0.3);
-  EXPECT_EQ(late.result, RetrainEnqueue::kStopped);
-  EXPECT_EQ(late.done.get(), RetrainOutcome::kCancelled);
-  worker.wait_idle();  // returns immediately on a stopped worker
+/// Points a tuner's async-optimize hook at `worker`, counting every call
+/// (accepted or refused) in `calls`.
+void hand_off_to(core::OnlineTuner& tuner, RetrainWorker& worker, std::atomic<int>& calls) {
+  tuner.set_async_optimize_hook([&tuner, &worker, &calls](int, double read_ratio) {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    return worker.enqueue({&tuner, read_ratio, {}});
+  });
 }
 
-TEST(RetrainWorker, DrainStopRunsTheQueuedBacklog) {
+TEST(RetrainWorker, StopBeforeStartCancelsTheBacklogAndUnmarksItsBuckets) {
   WorkerHarness harness;
   ServiceStats stats;
-  RetrainWorker worker(harness.fn(), {}, &stats);
-  std::vector<RetrainWorker::Ticket> tickets;
-  for (int bucket = 1; bucket <= 3; ++bucket) {
-    tickets.push_back(worker.enqueue(bucket, 0.1 * bucket));
-  }
-  worker.start();
-  worker.stop(/*drain=*/true);
-  for (auto& ticket : tickets) EXPECT_EQ(ticket.done.get(), RetrainOutcome::kCompleted);
-  EXPECT_EQ(harness.total_runs(), 3);
-  EXPECT_EQ(stats.retrain_counters().runs, 3u);
-  EXPECT_EQ(stats.retrain_counters().cancelled, 0u);
+  RetrainWorker worker(&stats);
+  core::OnlineTuner tuner(pipeline());
+  std::atomic<int> calls{0};
+  hand_off_to(tuner, worker, calls);
+
+  tuner.prefetch(0.1);
+  tuner.prefetch(0.1);  // pending: the memo does not hand it off again
+  ASSERT_TRUE(worker.enqueue(harness.task(2)));
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(worker.depth(), 2u);
+
+  worker.stop();  // never started: nothing may hang, nothing may run
+  EXPECT_EQ(harness.total_runs(), 0);
+  EXPECT_EQ(tuner.optimizer_runs(), 0u);
+  EXPECT_EQ(stats.retrain_counters().cancelled, 2u);
+  EXPECT_EQ(stats.retrain_counters().runs, 0u);
+  EXPECT_TRUE(worker.stopping());
+
+  // The cancelled search left its bucket unmarked, so the next miss hands
+  // it off again; a stopped worker refuses it without counting a rejection,
+  // and the refusal leaves the bucket unmarked too.
+  tuner.prefetch(0.1);
+  tuner.prefetch(0.1);
+  EXPECT_EQ(calls.load(), 3);
+  EXPECT_FALSE(worker.enqueue(harness.task(3)));
+  EXPECT_EQ(stats.retrain_counters().rejected, 0u);
+  worker.wait_idle();  // returns immediately on a stopped worker
 }
 
 TEST(RetrainWorker, CancelStopFinishesInFlightTaskButDropsQueued) {
   WorkerHarness harness;
   harness.hold();
   ServiceStats stats;
-  RetrainWorker worker(harness.fn(), {}, &stats);
+  RetrainWorker worker(&stats);
   worker.start();
 
-  const auto in_flight = worker.enqueue(1, 0.1);
+  ASSERT_TRUE(worker.enqueue(harness.task(1)));
   // Wait until the worker picked task 1 up (depth drops to 0; the run is
   // blocked on the gate), then queue a second bucket behind it.
   while (worker.depth() != 0) std::this_thread::yield();
-  const auto queued = worker.enqueue(2, 0.2);
-  ASSERT_EQ(queued.result, RetrainEnqueue::kEnqueued);
+  ASSERT_TRUE(worker.enqueue(harness.task(2)));
 
-  std::thread stopper([&] { worker.stop(/*drain=*/false); });
+  std::thread stopper([&] { worker.stop(); });
   // Only open the gate once the stop request is registered — otherwise the
   // worker could finish task 1 and legitimately pick task 2 up before the
   // cancel lands.
@@ -149,60 +174,69 @@ TEST(RetrainWorker, CancelStopFinishesInFlightTaskButDropsQueued) {
   stopper.join();
 
   // The in-flight run always completes; the queued one is cancelled.
-  EXPECT_EQ(in_flight.done.get(), RetrainOutcome::kCompleted);
-  EXPECT_EQ(queued.done.get(), RetrainOutcome::kCancelled);
   EXPECT_EQ(harness.runs(1), 1);
   EXPECT_EQ(harness.runs(2), 0);
+  EXPECT_EQ(stats.retrain_counters().runs, 1u);
   EXPECT_EQ(stats.retrain_counters().cancelled, 1u);
 }
 
 TEST(RetrainWorker, SameBucketRequestsCoalesceIntoOneRun) {
-  WorkerHarness harness;
-  harness.hold();  // nothing completes until every enqueue landed
+  // A burst of 8 stale windows in one bucket, from two tenants' tuners over
+  // one memo: the memo hands the bucket off once, and the worker runs one
+  // search.
   ServiceStats stats;
-  RetrainWorker worker(harness.fn(), {}, &stats);
+  RetrainWorker worker(&stats);
+  const auto memo = std::make_shared<core::TuneMemo>(pipeline());
+  core::OnlineTuner first(memo);
+  core::OnlineTuner second(memo);
+  std::atomic<int> calls{0};
+  hand_off_to(first, worker, calls);
+  hand_off_to(second, worker, calls);
+
+  for (int i = 0; i < 8; ++i) {
+    core::OnlineTuner& tuner = i % 2 == 0 ? first : second;
+    EXPECT_TRUE(tuner.on_window(0.7).stale) << i;
+  }
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(worker.depth(), 1u);
+
   worker.start();
-
-  const auto first = worker.enqueue(7, 0.7);
-  const auto dup1 = worker.enqueue(7, 0.7);
-  const auto dup2 = worker.enqueue(7, 0.7);
-  const auto other = worker.enqueue(8, 0.8);
-  const auto dup3 = worker.enqueue(8, 0.8);
-  ASSERT_EQ(first.result, RetrainEnqueue::kEnqueued);
-  EXPECT_EQ(dup1.result, RetrainEnqueue::kCoalesced);
-  EXPECT_EQ(dup2.result, RetrainEnqueue::kCoalesced);
-  ASSERT_EQ(other.result, RetrainEnqueue::kEnqueued);
-  EXPECT_EQ(dup3.result, RetrainEnqueue::kCoalesced);
-
-  harness.release();
   worker.wait_idle();
-  // N same-bucket requests -> one run per bucket; duplicates shared the
-  // pending task's future.
-  EXPECT_EQ(harness.runs(7), 1);
-  EXPECT_EQ(harness.runs(8), 1);
-  EXPECT_EQ(dup1.done.get(), RetrainOutcome::kCompleted);
-  EXPECT_EQ(dup3.done.get(), RetrainOutcome::kCompleted);
-  EXPECT_EQ(stats.retrain_counters().runs, 2u);
-  EXPECT_EQ(stats.retrain_counters().coalesced, 3u);
+  EXPECT_EQ(stats.retrain_counters().runs, 1u);
+  EXPECT_EQ(stats.retrain_counters().rejected, 0u);
+  EXPECT_EQ(first.optimizer_runs() + second.optimizer_runs(), 1u);
+  EXPECT_FALSE(second.on_window(0.7).stale);
+  EXPECT_EQ(calls.load(), 1);
   worker.stop();
 }
 
 TEST(RetrainWorker, FullQueueRejectsButCoalescingStillWins) {
   WorkerHarness harness;
   ServiceStats stats;
-  RetrainOptions options;
-  options.queue_capacity = 1;
-  RetrainWorker worker(harness.fn(), options, &stats);  // never started
+  RetrainWorker worker(&stats);  // never started
+  core::OnlineTuner tuner(pipeline());
+  std::atomic<int> calls{0};
+  hand_off_to(tuner, worker, calls);
 
-  ASSERT_EQ(worker.enqueue(1, 0.1).result, RetrainEnqueue::kEnqueued);
-  // Queue full: a *new* bucket is rejected (future pre-resolved kCancelled)…
-  const auto rejected = worker.enqueue(2, 0.2);
-  EXPECT_EQ(rejected.result, RetrainEnqueue::kRejected);
-  EXPECT_EQ(rejected.done.get(), RetrainOutcome::kCancelled);
-  // …but a duplicate of the pending bucket still coalesces — it needs no slot.
-  EXPECT_EQ(worker.enqueue(1, 0.1).result, RetrainEnqueue::kCoalesced);
+  for (int i = 1; i < static_cast<int>(kRetrainQueueCapacity); ++i) {
+    ASSERT_TRUE(worker.enqueue(harness.task(i)));
+  }
+  tuner.prefetch(0.3);  // takes the last slot
+  EXPECT_EQ(worker.depth(), kRetrainQueueCapacity);
+  // Queue full: a *new* bucket is refused and counted…
+  tuner.prefetch(0.6);
+  EXPECT_EQ(calls.load(), 2);
   EXPECT_EQ(stats.retrain_counters().rejected, 1u);
-  worker.stop(/*drain=*/false);
+  // …and left unmarked, so its next miss hands it off again, while a miss
+  // in the pending bucket still coalesces in the memo — it needs no slot.
+  tuner.prefetch(0.6);
+  tuner.prefetch(0.3);
+  EXPECT_EQ(calls.load(), 3);
+  EXPECT_EQ(stats.retrain_counters().rejected, 2u);
+
+  worker.stop();
+  EXPECT_EQ(stats.retrain_counters().cancelled, kRetrainQueueCapacity);
+  EXPECT_EQ(harness.total_runs(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -210,27 +244,6 @@ TEST(RetrainWorker, FullQueueRejectsButCoalescingStillWins) {
 
 class ServeRetrain : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    core::RafikiOptions options;
-    options.workload_grid = {0.2, 0.8};
-    options.n_configs = 5;
-    options.collect.measure.ops = 3000;
-    options.collect.measure.warmup_ops = 300;
-    options.ensemble.n_nets = 3;
-    options.ensemble.train.max_epochs = 30;
-    options.ga.generations = 6;
-    options.ga.population = 10;
-    rafiki_ = new core::Rafiki(options);
-    rafiki_->set_key_params(engine::key_params());
-    rafiki_->train(rafiki_->collect());
-    ASSERT_TRUE(rafiki_->trained());
-  }
-
-  static void TearDownTestSuite() {
-    delete rafiki_;
-    rafiki_ = nullptr;
-  }
-
   static Request window_request(double read_ratio) {
     Request request;
     request.endpoint = Endpoint::kObserveWindow;
@@ -238,10 +251,8 @@ class ServeRetrain : public ::testing::Test {
     return request;
   }
 
-  static core::Rafiki* rafiki_;
+  core::Rafiki* rafiki_ = &pipeline();
 };
-
-core::Rafiki* ServeRetrain::rafiki_ = nullptr;
 
 TEST_F(ServeRetrain, StaleThenFreshSequenceUnderInjectedClock) {
   auto clock = std::make_shared<std::atomic<Tick>>(0);

@@ -1,5 +1,5 @@
 // TuningService end-to-end: admission control (Overloaded on a full queue),
-// virtual-clock deadline expiry, micro-batcher size and time triggers,
+// virtual-clock deadline expiry, micro-batcher size and empty-queue triggers,
 // lock-free snapshot swaps under concurrent load, and the ObserveWindow ->
 // publish-hook -> new-snapshot-version loop. The concurrency tests double as
 // tsan probes (see CMakePresets).
@@ -176,49 +176,21 @@ TEST_F(ServeService, BatcherFlushesOnSizeTrigger) {
   EXPECT_DOUBLE_EQ(service.stats().mean_batch_size(), 4.0);
 }
 
-TEST_F(ServeService, BatcherFlushesOnTimeTriggerBelowMaxBatch) {
-  ServiceOptions options;
-  options.workers = 1;
-  options.max_batch = 32;
-  options.batch_window = std::chrono::microseconds(500);
-  // Strict fill-or-time-out mode: this test exercises the window trigger
-  // itself, so the adaptive empty-queue flush must stay out of the way.
-  options.adaptive_batch = false;
-  TuningService service(options);
-  service.publish(make_snapshot(*rafiki_));
-
-  // Only 3 requests are ever submitted — far below max_batch — so the only
-  // way they complete is the flush window elapsing.
-  std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 3; ++i) futures.push_back(service.submit(predict_request(0.2 * i)));
-  service.start();
-  for (auto& future : futures) {
-    const auto response = future.get();
-    EXPECT_EQ(response.status, Status::kOk);
-    EXPECT_EQ(response.batch_size, 3u);
-  }
-  service.stop();
-  EXPECT_EQ(service.stats().batches(), 1u);
-}
-
 TEST_F(ServeService, AdaptiveBatcherFlushesWhenQueueEmpties) {
-  // Regression for the lone-client stall: with a strict batcher a single
-  // request under a large max_batch sleeps out the whole flush window
-  // (throughput degraded to ~1/batch_window). The adaptive batcher runs the
-  // batch the moment the queue momentarily empties, so an absurdly long
-  // window must not delay a lone request.
+  // Regression for the lone-client stall: a batcher that waits for
+  // co-arrivals makes a single request under a large max_batch sleep out
+  // its wait. The batcher runs the batch the moment the queue momentarily
+  // empties, so a lone request must not be delayed.
   ServiceOptions options;
   options.workers = 1;
   options.max_batch = 32;
-  options.batch_window = std::chrono::seconds(30);
-  ASSERT_TRUE(options.adaptive_batch);  // the default: documents the contract
   TuningService service(options);
   service.publish(make_snapshot(*rafiki_));
   service.start();
 
   auto future = service.submit(predict_request());
   ASSERT_EQ(future.wait_for(std::chrono::seconds(5)), std::future_status::ready)
-      << "single request stalled behind the batch window";
+      << "single request stalled waiting for co-arrivals";
   const auto response = future.get();
   EXPECT_EQ(response.status, Status::kOk);
   EXPECT_EQ(response.batch_size, 1u);
