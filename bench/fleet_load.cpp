@@ -47,8 +47,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -56,14 +54,10 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "core/online.h"
-#include "engine/params.h"
-#include "net/client.h"
-#include "net/server.h"
-#include "serve/snapshot.h"
 #include "tenant/fleet.h"
 
 using namespace rafiki;
+namespace json = rafiki::benchutil::json;
 
 namespace {
 
@@ -130,23 +124,12 @@ struct IsolationResult {
   double p99_ratio = 0.0;
 };
 
-/// Exact sample quantile (sorted copy) — the isolation gate compares p99s at
-/// microsecond scale, where a bucketed histogram would quantize the ratio.
-double exact_quantile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const auto rank = static_cast<std::size_t>(
-      q * static_cast<double>(samples.size() - 1) + 0.5);
-  return samples[std::min(rank, samples.size() - 1)];
-}
-
 /// Read ratio of call `i` of a tenant's trace. The schedule is offset by
 /// tenant id: regime boundaries line up across the fleet (a coordinated
 /// storm) while each tenant shifts to a different regime, so tenants reach
 /// each bucket at different times and the shared memo serves the later ones.
 double schedule_rr(std::size_t i, serve::TenantId tenant, std::size_t window_every) {
-  static const std::vector<double> regimes = {0.15, 0.85, 0.45, 0.95, 0.25};
-  return regimes[(i / window_every + tenant) % regimes.size()];
+  return benchutil::regime(i / window_every + tenant);
 }
 
 /// One regime-switching tenant trace: every `window_every` calls the trace
@@ -155,54 +138,28 @@ double schedule_rr(std::size_t i, serve::TenantId tenant, std::size_t window_eve
 /// window with pipelined Predict bursts against that regime.
 void replay_trace(std::uint16_t port, serve::TenantId tenant, std::size_t calls,
                   std::size_t pipeline, std::size_t window_every,
-                  std::uint64_t& predict_ok, std::uint64_t& windows,
-                  std::uint64_t& stale, std::uint64_t& failed) {
+                  benchutil::BurstTally& windows, benchutil::BurstTally& predicts) {
   net::ClientOptions client_options;
   client_options.tenant = tenant;
   net::Client client(client_options);
   if (client.connect("127.0.0.1", port) != net::NetStatus::kOk) {
-    failed += calls;
+    predicts.send_failed += calls;
     return;
   }
-  std::vector<std::uint64_t> ids;
-  ids.reserve(pipeline);
   for (std::size_t i = 0; i < calls;) {
     const double rr = schedule_rr(i, tenant, window_every);
-    if (i % window_every == 0) {
-      const auto result = client.observe_window(rr);  // typed wrapper stamps the tenant
-      if (result.net == net::NetStatus::kOk &&
-          result.response.status == serve::Status::kOk) {
-        ++windows;
-        if (result.response.stale) ++stale;
-      } else {
-        ++failed;
+    const bool opens_window = i % window_every == 0;
+    const std::size_t burst =
+        opens_window ? 1 : std::min({pipeline, calls - i, window_every - (i % window_every)});
+    // Raw send() keeps the caller's tenant, so every request names it.
+    benchutil::pipelined_burst(client, burst, [&](std::size_t b) {
+      if (opens_window) {
+        return serve::Request{
+            .endpoint = serve::Endpoint::kObserveWindow, .tenant = tenant, .read_ratio = rr};
       }
-      ++i;
-      continue;
-    }
-    const std::size_t burst = std::min(
-        {pipeline, calls - i, window_every - (i % window_every)});
-    ids.clear();
-    for (std::size_t b = 0; b < burst; ++b) {
-      serve::Request request;
-      request.endpoint = serve::Endpoint::kPredict;
-      request.tenant = tenant;  // raw send() keeps the caller's tenant
-      request.read_ratio = rr + 0.001 * static_cast<double>((i + b) % 10);
-      const auto id = client.send(request);
-      if (id == 0) {
-        ++failed;
-        continue;
-      }
-      ids.push_back(id);
-    }
-    for (const auto id : ids) {
-      const auto result = client.wait(id);
-      if (result.ok()) {
-        ++predict_ok;
-      } else {
-        ++failed;
-      }
-    }
+      return serve::Request{.tenant = tenant,
+                            .read_ratio = rr + 0.001 * static_cast<double>((i + b) % 10)};
+    }, opens_window ? windows : predicts);
     i += burst;
   }
 }
@@ -219,36 +176,20 @@ ReplayResult fleet_replay(const core::Rafiki& rafiki, std::size_t tenants,
   fleet_options.shard.service.queue_capacity = 4096;
   tenant::TenantFleet fleet(fleet_options);
   fleet.attach_rafiki(rafiki);
-  fleet.publish(serve::make_snapshot(rafiki));
-  fleet.start();
+  benchutil::start_backend(fleet, rafiki);
 
   net::ServerOptions server_options;
   server_options.io_threads = 2;
   server_options.max_pipeline = pipeline + 1;  // the bench never self-throttles
-  net::Server server(fleet, server_options);
-  if (!server.start()) {
-    std::fprintf(stderr, "fleet_load: server start failed: %s\n",
-                 server.last_error().c_str());
-    return {};
-  }
+  const auto server = benchutil::start_server(fleet, server_options);
 
   const std::size_t traces = tenants * clients_per_tenant;
-  std::vector<std::uint64_t> predict_ok(traces, 0);
-  std::vector<std::uint64_t> windows(traces, 0);
-  std::vector<std::uint64_t> stale(traces, 0);
-  std::vector<std::uint64_t> failed(traces, 0);
-  // det:ok(wall-clock): benchmark timing
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> fleet_threads;
-  for (std::size_t i = 0; i < traces; ++i) {
-    const auto tenant_id = static_cast<serve::TenantId>(i % tenants);
-    fleet_threads.emplace_back([&, i, tenant_id] {
-      replay_trace(server.port(), tenant_id, calls_per_trace, pipeline,
-                   window_every, predict_ok[i], windows[i], stale[i], failed[i]);
-    });
-  }
-  for (auto& thread : fleet_threads) thread.join();
-  const double elapsed = benchutil::seconds_since(t0);
+  std::vector<benchutil::BurstTally> windows(traces);
+  std::vector<benchutil::BurstTally> predicts(traces);
+  const double elapsed = benchutil::run_clients(traces, [&](std::size_t i) {
+    replay_trace(server->port(), static_cast<serve::TenantId>(i % tenants), calls_per_trace,
+                 pipeline, window_every, windows[i], predicts[i]);
+  });
 
   // Unknown-tenant probe: an id past the fleet's range must get a typed
   // kNotReady for every call — answered on the wire, never dropped.
@@ -257,7 +198,7 @@ ReplayResult fleet_replay(const core::Rafiki& rafiki, std::size_t tenants,
     net::ClientOptions probe_options;
     probe_options.tenant = static_cast<serve::TenantId>(tenants + 3);
     net::Client probe(probe_options);
-    if (probe.connect("127.0.0.1", server.port()) == net::NetStatus::kOk) {
+    if (probe.connect("127.0.0.1", server->port()) == net::NetStatus::kOk) {
       for (int i = 0; i < 4; ++i) {
         ++result.probe_calls;
         const auto r = probe.predict(0.5);
@@ -283,16 +224,16 @@ ReplayResult fleet_replay(const core::Rafiki& rafiki, std::size_t tenants,
     }
   }
   result.schedule_buckets = buckets.size();
-  server.stop();
+  server->stop();
 
   result.tenants = tenants;
   result.shards = shards;
   result.traces = traces;
   for (std::size_t i = 0; i < traces; ++i) {
-    result.predict_ok += predict_ok[i];
-    result.windows += windows[i];
-    result.stale_windows += stale[i];
-    result.failed += failed[i];
+    result.predict_ok += predicts[i].ok;
+    result.windows += windows[i].ok;
+    result.stale_windows += windows[i].stale;
+    result.failed += windows[i].failed() + predicts[i].failed();
   }
   result.qps =
       static_cast<double>(result.predict_ok + result.windows) / elapsed;
@@ -321,107 +262,74 @@ ScalePoint connection_scaling(const core::Rafiki& rafiki, std::size_t tenants,
   fleet_options.shard.service.workers = 2;
   fleet_options.shard.service.queue_capacity = 8192;
   tenant::TenantFleet fleet(fleet_options);
-  fleet.publish(serve::make_snapshot(rafiki));
-  fleet.start();
+  benchutil::start_backend(fleet, rafiki);
 
   net::ServerOptions server_options;
   server_options.io_threads = 2;
   server_options.backlog = static_cast<int>(connections);
   server_options.max_connections = connections + 8;
   server_options.max_pipeline = pipeline + 1;
-  net::Server server(fleet, server_options);
-  ScalePoint point;
-  point.connections = connections;
-  point.tenants = tenants;
-  if (!server.start()) {
-    std::fprintf(stderr, "fleet_load: server start failed: %s\n",
-                 server.last_error().c_str());
-    point.transport_failures = connections * calls_per_conn;
-    return point;
-  }
+  const auto server = benchutil::start_server(fleet, server_options);
 
   const std::size_t drivers =
       std::min(connections, std::max<std::size_t>(4, benchutil::hw_threads()));
-  std::vector<std::uint64_t> ok(drivers, 0);
-  std::vector<std::uint64_t> failed(drivers, 0);
+  std::vector<benchutil::BurstTally> tallies(drivers);
   std::vector<std::vector<double>> latencies(drivers);
-  // det:ok(wall-clock): benchmark timing
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> pool;
-  for (std::size_t d = 0; d < drivers; ++d) {
-    pool.emplace_back([&, d] {
-      // Connections are dealt round-robin so every driver's slice spans the
-      // tenant range.
-      std::vector<std::unique_ptr<net::Client>> conns;
-      std::size_t owned = 0;
-      for (std::size_t c = d; c < connections; c += drivers) {
-        net::ClientOptions client_options;
-        client_options.tenant = static_cast<serve::TenantId>(c % tenants);
-        auto client = std::make_unique<net::Client>(client_options);
-        if (client->connect("127.0.0.1", server.port()) != net::NetStatus::kOk) {
-          failed[d] += calls_per_conn;
-          conns.push_back(nullptr);
-        } else {
-          conns.push_back(std::move(client));
-          ++owned;
-        }
+  const double elapsed = benchutil::run_clients(drivers, [&](std::size_t d) {
+    // Connections are dealt round-robin so every driver's slice spans the
+    // tenant range.
+    std::vector<std::unique_ptr<net::Client>> conns;
+    std::size_t owned = 0;
+    for (std::size_t c = d; c < connections; c += drivers) {
+      net::ClientOptions client_options;
+      client_options.tenant = static_cast<serve::TenantId>(c % tenants);
+      auto client = std::make_unique<net::Client>(client_options);
+      if (client->connect("127.0.0.1", server->port()) != net::NetStatus::kOk) {
+        tallies[d].send_failed += calls_per_conn;
+        conns.push_back(nullptr);
+      } else {
+        conns.push_back(std::move(client));
+        ++owned;
       }
-      if (owned == 0) return;
-      std::vector<std::vector<std::uint64_t>> ids(conns.size());
-      for (std::size_t done = 0; done < calls_per_conn; done += pipeline) {
-        const std::size_t burst = std::min(pipeline, calls_per_conn - done);
-        // det:ok(wall-clock): benchmark timing
-        const auto r0 = std::chrono::steady_clock::now();
-        for (std::size_t c = 0; c < conns.size(); ++c) {
-          if (conns[c] == nullptr) continue;
-          ids[c].clear();
-          for (std::size_t b = 0; b < burst; ++b) {
-            serve::Request request;
-            request.endpoint = serve::Endpoint::kPredict;
-            request.tenant =
-                static_cast<serve::TenantId>((d + c * drivers) % tenants);
-            request.read_ratio =
-                0.2 + 0.01 * static_cast<double>((done + b) % 60);
-            const auto id = conns[c]->send(request);
-            if (id == 0) {
-              ++failed[d];
-              continue;
-            }
-            ids[c].push_back(id);
-          }
-        }
-        std::uint64_t round_ok = 0;
-        for (std::size_t c = 0; c < conns.size(); ++c) {
-          if (conns[c] == nullptr) continue;
-          for (const auto id : ids[c]) {
-            const auto result = conns[c]->wait(id);
-            if (result.ok()) {
-              ++round_ok;
-            } else {
-              ++failed[d];
-            }
-          }
-        }
-        ok[d] += round_ok;
-        if (round_ok > 0) {
-          latencies[d].push_back(1e6 * benchutil::seconds_since(r0) /
-                                 static_cast<double>(round_ok));
-        }
+    }
+    if (owned == 0) return;
+    std::vector<std::vector<std::uint64_t>> ids(conns.size());
+    for (std::size_t done = 0; done < calls_per_conn; done += pipeline) {
+      const std::size_t burst = std::min(pipeline, calls_per_conn - done);
+      const std::uint64_t ok_before = tallies[d].ok;
+      // det:ok(wall-clock): benchmark timing
+      const auto r0 = std::chrono::steady_clock::now();
+      for (std::size_t c = 0; c < conns.size(); ++c) {
+        if (conns[c] == nullptr) continue;
+        ids[c] = benchutil::send_burst(*conns[c], burst, [&](std::size_t b) {
+          return serve::Request{
+              .tenant = static_cast<serve::TenantId>((d + c * drivers) % tenants),
+              .read_ratio = 0.2 + 0.01 * static_cast<double>((done + b) % 60)};
+        }, tallies[d]);
       }
-    });
-  }
-  for (auto& thread : pool) thread.join();
-  const double elapsed = benchutil::seconds_since(t0);
-  server.stop();
+      for (std::size_t c = 0; c < conns.size(); ++c) {
+        if (conns[c] != nullptr) benchutil::wait_burst(*conns[c], ids[c], tallies[d]);
+      }
+      const std::uint64_t round_ok = tallies[d].ok - ok_before;
+      if (round_ok > 0) {
+        latencies[d].push_back(1e6 * benchutil::seconds_since(r0) /
+                               static_cast<double>(round_ok));
+      }
+    }
+  });
+  server->stop();
 
+  ScalePoint point;
+  point.connections = connections;
+  point.tenants = tenants;
   std::vector<double> merged;
   for (std::size_t d = 0; d < drivers; ++d) {
-    point.ok += ok[d];
-    point.transport_failures += failed[d];
+    point.ok += tallies[d].ok;
+    point.transport_failures += tallies[d].failed();
     merged.insert(merged.end(), latencies[d].begin(), latencies[d].end());
   }
   point.qps = elapsed > 0.0 ? static_cast<double>(point.ok) / elapsed : 0.0;
-  point.client_p99_us = exact_quantile(merged, 0.99);
+  point.client_p99_us = benchutil::exact_quantile(merged, 0.99);
   const auto wire = fleet.stats().wire_counters();
   point.decode_errors = wire.decode_errors;
   point.frames_in = wire.frames_in;
@@ -462,67 +370,38 @@ VictimRun victim_run(const core::Rafiki& rafiki, std::size_t shards,
     return quota;
   };
   tenant::TenantFleet fleet(fleet_options);
-  fleet.publish(serve::make_snapshot(rafiki));
-  fleet.start();
+  benchutil::start_backend(fleet, rafiki);
 
   net::ServerOptions server_options;
   // One IO thread per connection (victim + 2 noisy): the cap under test is
   // the fleet's admission quota, not transport-thread contention.
   server_options.io_threads = 4;
   server_options.max_pipeline = noisy_pipeline + 2;
-  net::Server server(fleet, server_options);
-  if (!server.start()) {
-    std::fprintf(stderr, "fleet_load: server start failed: %s\n",
-                 server.last_error().c_str());
-    return {};
-  }
+  const auto server = benchutil::start_server(fleet, server_options);
 
   constexpr std::size_t kNoisyClients = 2;
   std::atomic<bool> stop{false};
-  std::vector<std::uint64_t> noisy_ok(kNoisyClients, 0);
-  std::vector<std::uint64_t> noisy_overloaded(kNoisyClients, 0);
-  std::vector<std::uint64_t> noisy_lost(kNoisyClients, 0);
-  std::vector<std::thread> noisy_threads;
+  std::vector<benchutil::BurstTally> noisy(kNoisyClients);
+  std::thread noisy_fleet;
   if (with_noisy) {
-    for (std::size_t c = 0; c < kNoisyClients; ++c) {
-      noisy_threads.emplace_back([&, c] {
+    noisy_fleet = std::thread([&] {
+      benchutil::run_clients(kNoisyClients, [&](std::size_t c) {
         net::ClientOptions client_options;
         client_options.tenant = 1;
         net::Client client(client_options);
-        if (client.connect("127.0.0.1", server.port()) != net::NetStatus::kOk) {
-          return;
-        }
-        std::vector<std::uint64_t> ids;
-        ids.reserve(noisy_pipeline);
+        if (client.connect("127.0.0.1", server->port()) != net::NetStatus::kOk) return;
         while (!stop.load(std::memory_order_relaxed)) {
-          ids.clear();
-          for (std::size_t b = 0; b < noisy_pipeline; ++b) {
-            serve::Request request;
-            request.endpoint = serve::Endpoint::kPredict;
-            request.tenant = 1;
-            request.read_ratio = 0.2 + 0.01 * static_cast<double>(b % 50);
-            const auto id = client.send(request);
-            if (id != 0) ids.push_back(id);
-          }
-          for (const auto id : ids) {
-            const auto result = client.wait(id);
-            if (result.net != net::NetStatus::kOk) {
-              ++noisy_lost[c];
-            } else if (result.response.status == serve::Status::kOk) {
-              ++noisy_ok[c];
-            } else if (result.response.status == serve::Status::kOverloaded) {
-              ++noisy_overloaded[c];  // typed backpressure: answered, not lost
-            } else {
-              ++noisy_lost[c];
-            }
-          }
+          benchutil::pipelined_burst(client, noisy_pipeline, [](std::size_t b) {
+            return serve::Request{.tenant = 1,
+                                  .read_ratio = 0.2 + 0.01 * static_cast<double>(b % 50)};
+          }, noisy[c]);
           // Pace the bursts: the pressure under test is pipeline depth vs the
           // quota (each burst still overflows the cap and drains the bucket),
           // not raw CPU starvation of the victim's cores by reject spinning.
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
       });
-    }
+    });
     // Let the flood actually hit the quota before the victim starts
     // measuring, so the contended pass is contended from its first sample.
     // Bounded spin: with pipeline >> cap the first burst already overflows.
@@ -536,43 +415,40 @@ VictimRun victim_run(const core::Rafiki& rafiki, std::size_t shards,
   }
 
   VictimRun run;
+  benchutil::BurstTally victim_tally;
   std::vector<double> latency;
   latency.reserve(victim_calls);
   {
     net::Client victim;  // tenant 0 — the default namespace, no quota
-    if (victim.connect("127.0.0.1", server.port()) != net::NetStatus::kOk) {
-      run.failed = victim_calls;
+    if (victim.connect("127.0.0.1", server->port()) != net::NetStatus::kOk) {
+      victim_tally.send_failed = victim_calls;
     } else {
       // det:ok(wall-clock): benchmark timing
       const auto t0 = std::chrono::steady_clock::now();
       for (std::size_t i = 0; i < victim_calls; ++i) {
         // det:ok(wall-clock): benchmark timing
         const auto c0 = std::chrono::steady_clock::now();
-        const auto result =
-            victim.predict(0.3 + 0.01 * static_cast<double>(i % 40));
+        benchutil::pipelined_burst(victim, 1, [i](std::size_t) {
+          return serve::Request{.read_ratio = 0.3 + 0.01 * static_cast<double>(i % 40)};
+        }, victim_tally);
         latency.push_back(1e6 * benchutil::seconds_since(c0));
-        if (result.ok()) {
-          ++run.ok;
-        } else if (result.net == net::NetStatus::kOk &&
-                   result.response.status == serve::Status::kOverloaded) {
-          ++run.overloaded;
-        } else {
-          ++run.failed;
-        }
       }
-      run.qps = static_cast<double>(run.ok) / benchutil::seconds_since(t0);
+      run.qps = static_cast<double>(victim_tally.ok) / benchutil::seconds_since(t0);
     }
   }
+  run.ok = victim_tally.ok;
+  run.overloaded = victim_tally.overloaded;
+  run.failed = victim_tally.failed() - victim_tally.overloaded;
   stop.store(true, std::memory_order_relaxed);
-  for (auto& thread : noisy_threads) thread.join();
-  server.stop();
+  if (noisy_fleet.joinable()) noisy_fleet.join();
+  server->stop();
 
-  run.p50_us = exact_quantile(latency, 0.5);
-  run.p99_us = exact_quantile(latency, 0.99);
-  for (std::size_t c = 0; c < kNoisyClients; ++c) {
-    run.noisy_ok += noisy_ok[c];
-    run.noisy_overloaded += noisy_overloaded[c];
-    run.noisy_lost += noisy_lost[c];
+  run.p50_us = benchutil::exact_quantile(latency, 0.5);
+  run.p99_us = benchutil::exact_quantile(latency, 0.99);
+  for (const auto& tally : noisy) {
+    run.noisy_ok += tally.ok;
+    run.noisy_overloaded += tally.overloaded;
+    run.noisy_lost += tally.lost + tally.shutting_down;
   }
   run.fleet = fleet.fleet_counters();
   run.decode_errors = fleet.stats().wire_counters().decode_errors;
@@ -580,134 +456,16 @@ VictimRun victim_run(const core::Rafiki& rafiki, std::size_t shards,
   return run;
 }
 
-void write_json(const std::string& path, const ReplayResult& replay,
-                const IsolationResult& isolation,
-                const std::vector<ScalePoint>& scaling, bool smoke,
-                const std::vector<std::string>& gates_skipped) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "fleet_load: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"fleet_load\",\n  \"smoke\": %s,\n",
-               smoke ? "true" : "false");
-  std::fprintf(out, "  \"hw_threads\": %u,\n  \"gates_skipped\": %s,\n",
-               benchutil::hw_threads(), benchutil::json_string_array(gates_skipped).c_str());
-  std::fprintf(out,
-               "  \"fleet_replay\": {\"tenants\": %zu, \"shards\": %zu, "
-               "\"traces\": %zu, \"qps\": %.1f, \"predict_ok\": %llu, "
-               "\"windows\": %llu, \"stale_windows\": %llu, \"failed\": %llu, "
-               "\"decode_errors\": %llu, \"frames_in\": %llu, "
-               "\"frames_out\": %llu, \"admitted\": %llu, "
-               "\"quota_rejected\": %llu, \"inflight_rejected\": %llu, "
-               "\"unknown_tenant\": %llu, \"tenants_republished\": %llu, "
-               "\"optimizer_runs\": %llu, \"schedule_buckets\": %llu, "
-               "\"probe_calls\": %llu, \"probe_not_ready\": %llu},\n",
-               replay.tenants, replay.shards, replay.traces, replay.qps,
-               static_cast<unsigned long long>(replay.predict_ok),
-               static_cast<unsigned long long>(replay.windows),
-               static_cast<unsigned long long>(replay.stale_windows),
-               static_cast<unsigned long long>(replay.failed),
-               static_cast<unsigned long long>(replay.decode_errors),
-               static_cast<unsigned long long>(replay.frames_in),
-               static_cast<unsigned long long>(replay.frames_out),
-               static_cast<unsigned long long>(replay.fleet.admitted),
-               static_cast<unsigned long long>(replay.fleet.quota_rejected),
-               static_cast<unsigned long long>(replay.fleet.inflight_rejected),
-               static_cast<unsigned long long>(replay.fleet.unknown_tenant),
-               static_cast<unsigned long long>(replay.tenants_republished),
-               static_cast<unsigned long long>(replay.optimizer_runs),
-               static_cast<unsigned long long>(replay.schedule_buckets),
-               static_cast<unsigned long long>(replay.probe_calls),
-               static_cast<unsigned long long>(replay.probe_not_ready));
-  const auto emit_run = [out](const char* key, const VictimRun& run,
-                              const char* tail) {
-    std::fprintf(out,
-                 "  \"%s\": {\"victim_p50_us\": %.1f, \"victim_p99_us\": %.1f, "
-                 "\"victim_qps\": %.1f, \"victim_ok\": %llu, "
-                 "\"victim_overloaded\": %llu, \"victim_failed\": %llu, "
-                 "\"noisy_ok\": %llu, \"noisy_overloaded\": %llu, "
-                 "\"noisy_lost\": %llu, \"quota_rejected\": %llu, "
-                 "\"inflight_rejected\": %llu, \"decode_errors\": %llu}%s\n",
-                 key, run.p50_us, run.p99_us, run.qps,
-                 static_cast<unsigned long long>(run.ok),
-                 static_cast<unsigned long long>(run.overloaded),
-                 static_cast<unsigned long long>(run.failed),
-                 static_cast<unsigned long long>(run.noisy_ok),
-                 static_cast<unsigned long long>(run.noisy_overloaded),
-                 static_cast<unsigned long long>(run.noisy_lost),
-                 static_cast<unsigned long long>(run.fleet.quota_rejected),
-                 static_cast<unsigned long long>(run.fleet.inflight_rejected),
-                 static_cast<unsigned long long>(run.decode_errors), tail);
-  };
-  emit_run("isolation_solo", isolation.solo, ",");
-  emit_run("isolation_contended", isolation.contended, ",");
-  std::fprintf(out, "  \"isolation_p99_ratio\": %.2f,\n",
-               isolation.p99_ratio);
-  std::fprintf(out, "  \"connection_scaling\": [\n");
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    const auto& sp = scaling[i];
-    std::fprintf(out,
-                 "    {\"connections\": %zu, "
-                 "\"tenants\": %zu, \"qps\": %.1f, \"client_p99_us\": %.1f, "
-                 "\"ok\": %llu, \"transport_failures\": %llu, "
-                 "\"decode_errors\": %llu, \"frames_in\": %llu, "
-                 "\"frames_out\": %llu, \"flushes\": %llu, "
-                 "\"flush_syscalls\": %llu, \"flushed_frames\": %llu, "
-                 "\"flush_eagain\": %llu, \"frames_per_flush\": %.2f, "
-                 "\"flush_syscalls_per_frame\": %.4f}%s\n",
-                 sp.connections, sp.tenants,
-                 sp.qps, sp.client_p99_us,
-                 static_cast<unsigned long long>(sp.ok),
-                 static_cast<unsigned long long>(sp.transport_failures),
-                 static_cast<unsigned long long>(sp.decode_errors),
-                 static_cast<unsigned long long>(sp.frames_in),
-                 static_cast<unsigned long long>(sp.frames_out),
-                 static_cast<unsigned long long>(sp.flushes),
-                 static_cast<unsigned long long>(sp.flush_syscalls),
-                 static_cast<unsigned long long>(sp.flushed_frames),
-                 static_cast<unsigned long long>(sp.flush_eagain),
-                 sp.frames_per_flush, sp.syscalls_per_frame,
-                 i + 1 < scaling.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  benchutil::note("wrote " + path);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_fleet.json";
-  std::size_t tenants = 8;
-  std::size_t shards = 2;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-    if (std::strcmp(argv[i], "--tenants") == 0 && i + 1 < argc) {
-      tenants = static_cast<std::size_t>(std::atoi(argv[++i]));
-      if (tenants == 0) tenants = 1;
-    }
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = static_cast<std::size_t>(std::atoi(argv[++i]));
-      if (shards == 0) shards = 1;
-    }
-  }
-  if (smoke && tenants > 4) tenants = 4;
-
-  core::RafikiOptions options;
-  options.workload_grid = smoke ? std::vector<double>{0.2, 0.8}
-                                : std::vector<double>{0.1, 0.5, 0.9};
-  options.n_configs = smoke ? 5 : 10;
-  options.collect.measure.ops = smoke ? 3000 : 20000;
-  options.collect.measure.warmup_ops = smoke ? 300 : 2000;
-  options.ensemble.n_nets = smoke ? 3 : 10;
-  options.ensemble.train.max_epochs = smoke ? 30 : 100;
-  benchutil::note("training the surrogate ensemble...");
-  core::Rafiki rafiki(options);
-  rafiki.set_key_params(engine::key_params());
-  rafiki.train(rafiki.collect());
+  const auto flags = benchutil::parse_flags(
+      argc, argv, {.out = "BENCH_fleet.json", .shards = 2, .tenants = 8},
+      {"--tenants", "--shards"});
+  const bool smoke = flags.smoke;
+  const std::size_t shards = flags.shards;
+  const std::size_t tenants = smoke ? std::min<std::size_t>(flags.tenants, 4) : flags.tenants;
+  const core::Rafiki rafiki = benchutil::train_serving_profile(smoke);
 
   // Phase A: regime-switching fleet replay through the wire.
   const std::size_t clients_per_tenant = smoke ? 2 : 3;
@@ -836,21 +594,62 @@ int main(int argc, char** argv) {
   if (!benchutil::kPerfGate) gates_skipped.push_back("perf");
   if (!ratio_gate) gates_skipped.push_back("isolation_p99_ratio");
   if (!scaling_qps_gate) gates_skipped.push_back("connection_scaling_qps_ratio");
-  write_json(out_path, replay, isolation, scaling, smoke, gates_skipped);
+  const auto victim = [](const VictimRun& run) {
+    return json::object({{"victim_p50_us", json::fixed(run.p50_us, 1)},
+                         {"victim_p99_us", json::fixed(run.p99_us, 1)},
+                         {"victim_qps", json::fixed(run.qps, 1)}, {"victim_ok", run.ok},
+                         {"victim_overloaded", run.overloaded}, {"victim_failed", run.failed},
+                         {"noisy_ok", run.noisy_ok}, {"noisy_overloaded", run.noisy_overloaded},
+                         {"noisy_lost", run.noisy_lost},
+                         {"quota_rejected", run.fleet.quota_rejected},
+                         {"inflight_rejected", run.fleet.inflight_rejected},
+                         {"decode_errors", run.decode_errors}});
+  };
+  json::write(flags.out, {
+      {"bench", "fleet_load"}, {"smoke", smoke}, {"hw_threads", benchutil::hw_threads()},
+      {"gates_skipped", gates_skipped},
+      {"fleet_replay",
+       json::object({{"tenants", replay.tenants}, {"shards", replay.shards},
+                     {"traces", replay.traces}, {"qps", json::fixed(replay.qps, 1)},
+                     {"predict_ok", replay.predict_ok}, {"windows", replay.windows},
+                     {"stale_windows", replay.stale_windows}, {"failed", replay.failed},
+                     {"decode_errors", replay.decode_errors}, {"frames_in", replay.frames_in},
+                     {"frames_out", replay.frames_out}, {"admitted", replay.fleet.admitted},
+                     {"quota_rejected", replay.fleet.quota_rejected},
+                     {"inflight_rejected", replay.fleet.inflight_rejected},
+                     {"unknown_tenant", replay.fleet.unknown_tenant},
+                     {"tenants_republished", replay.tenants_republished},
+                     {"optimizer_runs", replay.optimizer_runs},
+                     {"schedule_buckets", replay.schedule_buckets},
+                     {"probe_calls", replay.probe_calls},
+                     {"probe_not_ready", replay.probe_not_ready}})},
+      {"isolation_solo", victim(isolation.solo)},
+      {"isolation_contended", victim(isolation.contended)},
+      {"isolation_p99_ratio", json::fixed(isolation.p99_ratio, 2)},
+      {"connection_scaling", json::rows(scaling, [](const ScalePoint& sp) {
+         return json::object(
+             {{"connections", sp.connections}, {"tenants", sp.tenants},
+              {"qps", json::fixed(sp.qps, 1)}, {"client_p99_us", json::fixed(sp.client_p99_us, 1)},
+              {"ok", sp.ok}, {"transport_failures", sp.transport_failures},
+              {"decode_errors", sp.decode_errors}, {"frames_in", sp.frames_in},
+              {"frames_out", sp.frames_out}, {"flushes", sp.flushes},
+              {"flush_syscalls", sp.flush_syscalls}, {"flushed_frames", sp.flushed_frames},
+              {"flush_eagain", sp.flush_eagain},
+              {"frames_per_flush", json::fixed(sp.frames_per_flush, 2)},
+              {"flush_syscalls_per_frame", json::fixed(sp.syscalls_per_frame, 4)}});
+       })},
+  });
 
   const auto count = [](std::uint64_t n) { return std::to_string(n); };
   benchutil::Gates gates;
   // Phase A structural gates (always on, sanitizers included).
-  gates.check(replay.failed == 0, "A failed calls", count(replay.failed), "== 0");
-  gates.check(replay.decode_errors == 0, "A decode errors", count(replay.decode_errors),
-              "== 0");
+  gates.zero("A failed calls", replay.failed);
+  gates.zero("A decode errors", replay.decode_errors);
   gates.check(replay.frames_in == replay.frames_out, "A frames out",
               count(replay.frames_out), "== " + count(replay.frames_in) + " frames in");
-  gates.check(replay.fleet.quota_rejected + replay.fleet.inflight_rejected == 0,
-              "A admission rejects (no quotas configured)",
-              count(replay.fleet.quota_rejected + replay.fleet.inflight_rejected), "== 0");
-  gates.check(replay.stale_windows >= 1, "A stale-served windows",
-              count(replay.stale_windows), ">= 1");
+  gates.zero("A admission rejects (no quotas configured)",
+             replay.fleet.quota_rejected + replay.fleet.inflight_rejected);
+  gates.at_least("A stale-served windows", replay.stale_windows, 1);
   gates.check(replay.tenants_republished == replay.tenants, "A tenants republished",
               count(replay.tenants_republished), "== " + count(replay.tenants));
   gates.check(replay.optimizer_runs <= replay.schedule_buckets,
@@ -867,26 +666,17 @@ int main(int argc, char** argv) {
   // fairness counters attribute every reject exactly.
   for (const VictimRun* run : {&isolation.solo, &isolation.contended}) {
     const std::string label = run == &isolation.solo ? "B solo " : "B contended ";
-    gates.check(run->failed + run->overloaded == 0, label + "victim failed or rejected",
-                count(run->failed + run->overloaded), "== 0");
-    gates.check(run->noisy_lost == 0, label + "noisy frames lost", count(run->noisy_lost),
-                "== 0");
-    gates.check(run->decode_errors == 0, label + "decode errors",
-                count(run->decode_errors), "== 0");
+    gates.zero(label + "victim failed or rejected", run->failed + run->overloaded);
+    gates.zero(label + "noisy frames lost", run->noisy_lost);
+    gates.zero(label + "decode errors", run->decode_errors);
   }
   const auto& solo = isolation.solo;
   const auto& contended = isolation.contended;
-  gates.check(solo.noisy_overloaded == 0, "B solo noisy Overloaded",
-              count(solo.noisy_overloaded), "== 0");
-  gates.check(solo.fleet.quota_rejected + solo.fleet.inflight_rejected == 0,
-              "B solo quota rejects",
-              count(solo.fleet.quota_rejected + solo.fleet.inflight_rejected), "== 0");
-  gates.check(contended.noisy_overloaded >= 1, "B contended noisy Overloaded",
-              count(contended.noisy_overloaded), ">= 1");
-  gates.check(contended.fleet.inflight_rejected >= 1, "B contended in-flight cap rejects",
-              count(contended.fleet.inflight_rejected), ">= 1");
-  gates.check(contended.fleet.quota_rejected >= 1, "B contended token bucket rejects",
-              count(contended.fleet.quota_rejected), ">= 1");
+  gates.zero("B solo noisy Overloaded", solo.noisy_overloaded);
+  gates.zero("B solo quota rejects", solo.fleet.quota_rejected + solo.fleet.inflight_rejected);
+  gates.at_least("B contended noisy Overloaded", contended.noisy_overloaded, 1);
+  gates.at_least("B contended in-flight cap rejects", contended.fleet.inflight_rejected, 1);
+  gates.at_least("B contended token bucket rejects", contended.fleet.quota_rejected, 1);
   gates.check(contended.fleet.inflight_rejected + contended.fleet.quota_rejected ==
                   contended.noisy_overloaded,
               "B contended rejects attributed",
@@ -903,10 +693,8 @@ int main(int argc, char** argv) {
     const std::uint64_t expected =
         static_cast<std::uint64_t>(sp.connections) * scale_calls;
     const std::string point = "C[" + std::to_string(sp.connections) + " connections] ";
-    gates.check(sp.transport_failures == 0, point + "transport failures",
-                count(sp.transport_failures), "== 0");
-    gates.check(sp.decode_errors == 0, point + "decode errors", count(sp.decode_errors),
-                "== 0");
+    gates.zero(point + "transport failures", sp.transport_failures);
+    gates.zero(point + "decode errors", sp.decode_errors);
     gates.check(sp.ok == expected, point + "answered Ok", count(sp.ok),
                 "== " + count(expected));
     gates.check(sp.frames_in >= expected && sp.frames_in == sp.frames_out,

@@ -30,11 +30,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <map>
+#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/common.h"
@@ -45,6 +44,7 @@
 #include "workload/mgrast.h"
 
 using namespace rafiki;
+namespace json = rafiki::benchutil::json;
 
 namespace {
 
@@ -270,87 +270,11 @@ bool bitwise_equal_rankings(const std::vector<tune::KnobScore>& a,
   return true;
 }
 
-void write_json(const std::string& path, const std::vector<ArmResult>& arms,
-                bool deterministic, bool smoke,
-                const std::vector<std::pair<std::string, bool>>& gates) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "knob_ablation: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"knob_ablation\",\n  \"smoke\": %s,\n",
-               smoke ? "true" : "false");
-  std::fprintf(out, "  \"hw_threads\": %u,\n", benchutil::hw_threads());
-  std::fprintf(out, "  \"gates_skipped\": %s,\n",
-               benchutil::json_string_array({}).c_str());
-  std::fprintf(out, "  \"arms\": [\n");
-  for (std::size_t a = 0; a < arms.size(); ++a) {
-    const auto& arm = arms[a];
-    std::fprintf(out, "    {\"arm\": \"%s\", \"genome_dims\": %zu,\n",
-                 arm.name.c_str(), arm.genome_dims);
-    std::fprintf(out, "     \"active\": %s,\n",
-                 benchutil::json_string_array(arm.active_names).c_str());
-    std::fprintf(out, "     \"regimes\": [\n");
-    for (std::size_t r = 0; r < arm.regimes.size(); ++r) {
-      const auto& regime = arm.regimes[r];
-      std::fprintf(out,
-                   "       {\"rr\": %.2f, \"tuned_tput\": %.1f, \"predicted\": %.1f, "
-                   "\"ga_evaluations\": %zu, \"evals_to_quality\": %zu, "
-                   "\"reached\": %s}%s\n",
-                   regime.rr, regime.measured, regime.predicted, regime.evaluations,
-                   regime.evals_to_quality, regime.reached ? "true" : "false",
-                   r + 1 < arm.regimes.size() ? "," : "");
-    }
-    std::fprintf(out, "     ],\n");
-    std::fprintf(out,
-                 "     \"mean_tuned_tput\": %.1f, \"mean_evals_to_quality\": %.1f,\n",
-                 arm.mean_measured, arm.mean_evals_to_quality);
-    std::fprintf(out,
-                 "     \"replay\": {\"windows\": %zu, \"mean_tput\": %.1f, "
-                 "\"reconfigurations\": %zu, \"optimizer_runs\": %zu, "
-                 "\"screen_observations\": %zu, \"recuts\": %zu, "
-                 "\"recut_changes\": %zu}}%s\n",
-                 arm.replay_windows, arm.replay_mean_tput, arm.reconfigurations,
-                 arm.optimizer_runs, arm.tune.observations, arm.tune.recuts,
-                 arm.tune.changes, a + 1 < arms.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-
-  // Final blended ranking of the pruned arm (top 10), the Figure-5 analogue.
-  const auto& pruned = arms.back();
-  std::fprintf(out, "  \"ranking\": [\n");
-  const std::size_t top = std::min<std::size_t>(10, pruned.ranking.size());
-  for (std::size_t i = 0; i < top; ++i) {
-    const auto& entry = pruned.ranking[i];
-    std::fprintf(out,
-                 "    {\"param\": \"%s\", \"score\": %.6f, \"seed_score\": %.6f, "
-                 "\"stream_score\": %.6f, \"samples\": %zu}%s\n",
-                 std::string(engine::param_name(entry.id)).c_str(), entry.score,
-                 entry.seed_score, entry.stream_score, entry.samples,
-                 i + 1 < top ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"determinism\": {\"runs_identical\": %s},\n",
-               deterministic ? "true" : "false");
-  std::fprintf(out, "  \"gates\": {");
-  for (std::size_t g = 0; g < gates.size(); ++g) {
-    std::fprintf(out, "\"%s\": %s%s", gates[g].first.c_str(),
-                 gates[g].second ? "true" : "false", g + 1 < gates.size() ? ", " : "");
-  }
-  std::fprintf(out, "}\n}\n");
-  std::fclose(out);
-  benchutil::note("wrote " + path);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_knobs.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-  }
+  const auto flags = benchutil::parse_flags(argc, argv, {.out = "BENCH_knobs.json"});
+  const bool smoke = flags.smoke;
 
   TrueThroughput truth;
   benchutil::note("running the fixed5 arm (paper baseline)...");
@@ -428,40 +352,63 @@ int main(int argc, char** argv) {
                          Table::num(naive22.mean_evals_to_quality, 0));
 
   // Gates (all deterministic simulation — none skipped in any build mode).
-  const bool g_quality = pruned.mean_measured >= 0.99 * fixed5.mean_measured;
-  const bool g_samples = pruned.mean_evals_to_quality < naive22.mean_evals_to_quality;
-  const bool g_active = pruned.genome_dims >= 3 && pruned.genome_dims <= 8;
   // No redundant knob may ever be active.
   const auto redundant_active = std::count_if(
       pruned.active_ids.begin(), pruned.active_ids.end(), [](engine::ParamId id) {
         return engine::param_spec(id).redundant_with != engine::ParamId::kCount;
       });
-  const bool g_canonical = redundant_active == 0;
-  const bool g_observed = pruned.tune.observations >= pruned.replay_windows;
-  const std::vector<std::pair<std::string, bool>> gates = {
-      {"tuned_tput_ge_fixed5", g_quality},
-      {"fewer_evals_than_naive22", g_samples},
-      {"active_set_within_bounds", g_active},
-      {"no_redundant_knob_active", g_canonical},
-      {"screen_fed_by_replay", g_observed},
-      {"deterministic", deterministic},
-  };
+  benchutil::Gates gates;
+  gates.check(pruned.mean_measured >= 0.99 * fixed5.mean_measured, "tuned_tput_ge_fixed5",
+              Table::ops(pruned.mean_measured),
+              ">= 0.99 x fixed-5 " + Table::ops(fixed5.mean_measured));
+  gates.check(pruned.mean_evals_to_quality < naive22.mean_evals_to_quality,
+              "fewer_evals_than_naive22", Table::num(pruned.mean_evals_to_quality, 0),
+              "< naive-22 " + Table::num(naive22.mean_evals_to_quality, 0));
+  gates.check(pruned.genome_dims >= 3 && pruned.genome_dims <= 8, "active_set_within_bounds",
+              std::to_string(pruned.genome_dims) + " dims", "3..8 dims");
+  gates.check(redundant_active == 0, "no_redundant_knob_active",
+              std::to_string(redundant_active) + " redundant", "== 0");
+  gates.check(pruned.tune.observations >= pruned.replay_windows, "screen_fed_by_replay",
+              std::to_string(pruned.tune.observations) + " observations",
+              ">= " + std::to_string(pruned.replay_windows) + " replay windows");
+  gates.check(deterministic, "deterministic", "rerun differs", "bit-identical rerun");
 
-  write_json(out_path, arms, deterministic, smoke, gates);
-
-  benchutil::Gates verdict;
-  verdict.check(g_quality, "tuned_tput_ge_fixed5", Table::ops(pruned.mean_measured),
-                ">= 0.99 x fixed-5 " + Table::ops(fixed5.mean_measured));
-  verdict.check(g_samples, "fewer_evals_than_naive22",
-                Table::num(pruned.mean_evals_to_quality, 0),
-                "< naive-22 " + Table::num(naive22.mean_evals_to_quality, 0));
-  verdict.check(g_active, "active_set_within_bounds",
-                std::to_string(pruned.genome_dims) + " dims", "3..8 dims");
-  verdict.check(g_canonical, "no_redundant_knob_active",
-                std::to_string(redundant_active) + " redundant", "== 0");
-  verdict.check(g_observed, "screen_fed_by_replay",
-                std::to_string(pruned.tune.observations) + " observations",
-                ">= " + std::to_string(pruned.replay_windows) + " replay windows");
-  verdict.check(deterministic, "deterministic", "rerun differs", "bit-identical rerun");
-  return verdict.verdict("knob_ablation", {});
+  // Final blended ranking of the pruned arm (top 10), the Figure-5 analogue.
+  const auto top10 =
+      std::span(pruned.ranking).first(std::min<std::size_t>(10, pruned.ranking.size()));
+  json::write(flags.out, {
+      {"bench", "knob_ablation"}, {"smoke", smoke}, {"hw_threads", benchutil::hw_threads()},
+      {"gates_skipped", std::vector<std::string>{}},
+      {"arms", json::rows(arms, [](const ArmResult& arm) {
+         return json::object(
+             {{"arm", arm.name}, {"genome_dims", arm.genome_dims}, {"active", arm.active_names},
+              {"regimes", json::array(arm.regimes, [](const RegimeResult& regime) {
+                 return json::object({{"rr", json::fixed(regime.rr, 2)},
+                                      {"tuned_tput", json::fixed(regime.measured, 1)},
+                                      {"predicted", json::fixed(regime.predicted, 1)},
+                                      {"ga_evaluations", regime.evaluations},
+                                      {"evals_to_quality", regime.evals_to_quality},
+                                      {"reached", regime.reached}});
+               })},
+              {"mean_tuned_tput", json::fixed(arm.mean_measured, 1)},
+              {"mean_evals_to_quality", json::fixed(arm.mean_evals_to_quality, 1)},
+              {"replay", json::object({{"windows", arm.replay_windows},
+                                       {"mean_tput", json::fixed(arm.replay_mean_tput, 1)},
+                                       {"reconfigurations", arm.reconfigurations},
+                                       {"optimizer_runs", arm.optimizer_runs},
+                                       {"screen_observations", arm.tune.observations},
+                                       {"recuts", arm.tune.recuts},
+                                       {"recut_changes", arm.tune.changes}})}});
+       })},
+      {"ranking", json::rows(top10, [](const tune::KnobScore& entry) {
+         return json::object({{"param", engine::param_name(entry.id)},
+                              {"score", json::fixed(entry.score, 6)},
+                              {"seed_score", json::fixed(entry.seed_score, 6)},
+                              {"stream_score", json::fixed(entry.stream_score, 6)},
+                              {"samples", entry.samples}});
+       })},
+      {"determinism", json::object({{"runs_identical", deterministic}})},
+      {"gates", gates.json()},
+  });
+  return gates.verdict("knob_ablation", {});
 }

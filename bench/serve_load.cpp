@@ -39,7 +39,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
@@ -47,14 +46,10 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "core/online.h"
-#include "engine/params.h"
-#include "serve/service.h"
-#include "serve/shard.h"
-#include "serve/snapshot.h"
 #include "util/rng.h"
 
 using namespace rafiki;
+namespace json = rafiki::benchutil::json;
 
 namespace {
 
@@ -142,54 +137,56 @@ std::vector<engine::Config> random_configs(std::size_t n, Rng& rng) {
   return configs;
 }
 
+/// Rows per second of `sweep` (one pass over `rows` configs), repeated
+/// until at least `pass_s` seconds have elapsed.
+template <class Sweep>
+double rows_per_s(Sweep&& sweep, std::size_t rows, double pass_s) {
+  std::size_t sweeps = 0;
+  double elapsed = 0.0;
+  // det:ok(wall-clock): benchmark timing
+  const auto t0 = std::chrono::steady_clock::now();
+  do {
+    sweep();
+    ++sweeps;
+    elapsed = benchutil::seconds_since(t0);
+  } while (elapsed < pass_s);
+  return static_cast<double>(rows * sweeps) / elapsed;
+}
+
 MicroResult micro_bench(const core::Rafiki& rafiki, std::size_t batch, std::size_t rows,
-                        std::size_t repeats) {
+                        double pass_s) {
   Rng rng(4242);
   const auto configs = random_configs(rows, rng);
   const double rr = 0.45;
 
-  MicroResult result;
-  result.batch = batch;
-
-  // Best-of-3 timing passes per path: the scheduler can preempt a pass
-  // mid-loop (especially on small machines), and the best pass is the one
-  // closest to the kernel's actual cost.
-  constexpr std::size_t kPasses = 3;
-  const double total_rows = static_cast<double>(rows * repeats);
-
-  // Single-row path.
   std::vector<double> single(rows, 0.0);
-  double single_s = 0.0;
-  for (std::size_t pass = 0; pass < kPasses; ++pass) {
-    // det:ok(wall-clock): benchmark timing
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t rep = 0; rep < repeats; ++rep) {
-      for (std::size_t i = 0; i < rows; ++i) single[i] = rafiki.predict(rr, configs[i]);
-    }
-    const double elapsed = benchutil::seconds_since(t0);
-    if (pass == 0 || elapsed < single_s) single_s = elapsed;
-  }
-
+  const auto single_sweep = [&] {
+    for (std::size_t i = 0; i < rows; ++i) single[i] = rafiki.predict(rr, configs[i]);
+  };
   // Batched path, chunked at the requested batch size.
   std::vector<double> batched(rows, 0.0);
-  double batched_s = 0.0;
-  for (std::size_t pass = 0; pass < kPasses; ++pass) {
-    // det:ok(wall-clock): benchmark timing
-    const auto t1 = std::chrono::steady_clock::now();
-    for (std::size_t rep = 0; rep < repeats; ++rep) {
-      for (std::size_t lo = 0; lo < rows; lo += batch) {
-        const std::size_t hi = std::min(rows, lo + batch);
-        const std::vector<engine::Config> chunk(configs.begin() + lo, configs.begin() + hi);
-        const auto out = rafiki.predict_batch(rr, chunk);
-        for (std::size_t i = lo; i < hi; ++i) batched[i] = out[i - lo];
-      }
+  const auto batched_sweep = [&] {
+    for (std::size_t lo = 0; lo < rows; lo += batch) {
+      const std::size_t hi = std::min(rows, lo + batch);
+      const std::vector<engine::Config> chunk(configs.begin() + lo, configs.begin() + hi);
+      const auto out = rafiki.predict_batch(rr, chunk);
+      for (std::size_t i = lo; i < hi; ++i) batched[i] = out[i - lo];
     }
-    const double elapsed = benchutil::seconds_since(t1);
-    if (pass == 0 || elapsed < batched_s) batched_s = elapsed;
-  }
+  };
 
-  result.single_rows_per_s = total_rows / single_s;
-  result.batched_rows_per_s = total_rows / batched_s;
+  // Best of 3 timed passes per path, each sized by elapsed time rather than
+  // a row count, with single and batched passes alternating: the scheduler
+  // can preempt a pass mid-loop (especially on small machines), and
+  // alternation keeps one preemption from covering every pass of one path.
+  constexpr std::size_t kPasses = 3;
+  MicroResult result;
+  result.batch = batch;
+  for (std::size_t pass = 0; pass < kPasses; ++pass) {
+    result.single_rows_per_s =
+        std::max(result.single_rows_per_s, rows_per_s(single_sweep, rows, pass_s));
+    result.batched_rows_per_s =
+        std::max(result.batched_rows_per_s, rows_per_s(batched_sweep, rows, pass_s));
+  }
   result.speedup = result.batched_rows_per_s / result.single_rows_per_s;
   result.bitwise_equal = (single == batched);
   return result;
@@ -197,30 +194,14 @@ MicroResult micro_bench(const core::Rafiki& rafiki, std::size_t batch, std::size
 
 LoadResult load_bench(const core::Rafiki& rafiki, std::size_t shards, std::size_t clients,
                       std::size_t max_batch, std::size_t calls_per_client) {
-  serve::ServiceOptions options;
-  options.workers = 2;
-  options.max_batch = max_batch;
-  options.queue_capacity = 4096;
-  auto service = benchutil::make_backend(shards, options);
-  service->publish(serve::make_snapshot(rafiki));
-  service->start();
-
-  // det:ok(wall-clock): benchmark timing
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> pool;
+  auto service = benchutil::start_backend(rafiki, shards, nullptr, max_batch);
   std::vector<std::uint64_t> failed(clients, 0);
-  for (std::size_t c = 0; c < clients; ++c) {
-    pool.emplace_back([&, c] {
-      for (std::size_t i = 0; i < calls_per_client; ++i) {
-        serve::Request request;
-        request.endpoint = serve::Endpoint::kPredict;
-        request.read_ratio = 0.2 + 0.05 * static_cast<double>(i % 12);
-        if (!service->call(request).ok()) ++failed[c];
-      }
-    });
-  }
-  for (auto& client : pool) client.join();
-  const double elapsed = benchutil::seconds_since(t0);
+  const double elapsed = benchutil::run_clients(clients, [&](std::size_t c) {
+    for (std::size_t i = 0; i < calls_per_client; ++i) {
+      const double rr = 0.2 + 0.05 * static_cast<double>(i % 12);
+      if (!service->call({.read_ratio = rr}).ok()) ++failed[c];
+    }
+  });
   service->stop();
 
   LoadResult result;
@@ -240,30 +221,21 @@ LoadResult load_bench(const core::Rafiki& rafiki, std::size_t shards, std::size_
 
 SwapResult swap_bench(const core::Rafiki& rafiki, std::size_t shards, std::size_t clients,
                       std::size_t calls_per_client, std::size_t republishes) {
-  serve::ServiceOptions options;
-  options.workers = 2;
-  options.queue_capacity = 4096;
-  auto service = benchutil::make_backend(shards, options);
-  service->publish(serve::make_snapshot(rafiki));
-  service->start();
-
-  std::vector<std::thread> pool;
+  auto service = benchutil::start_backend(rafiki, shards);
+  // Republish fresh versions while the clients are running.
+  std::thread publisher([&] {
+    for (std::size_t i = 0; i < republishes; ++i) {
+      service->publish(serve::make_snapshot(rafiki));
+    }
+  });
   std::vector<std::uint64_t> failed(clients, 0);
-  for (std::size_t c = 0; c < clients; ++c) {
-    pool.emplace_back([&, c] {
-      for (std::size_t i = 0; i < calls_per_client; ++i) {
-        serve::Request request;
-        request.endpoint = serve::Endpoint::kPredict;
-        request.read_ratio = 0.3 + 0.04 * static_cast<double>(i % 10);
-        if (!service->call(request).ok()) ++failed[c];
-      }
-    });
-  }
-  // Republish fresh versions for the entire time the clients are running.
-  for (std::size_t i = 0; i < republishes; ++i) {
-    service->publish(serve::make_snapshot(rafiki));
-  }
-  for (auto& client : pool) client.join();
+  benchutil::run_clients(clients, [&](std::size_t c) {
+    for (std::size_t i = 0; i < calls_per_client; ++i) {
+      const double rr = 0.3 + 0.04 * static_cast<double>(i % 10);
+      if (!service->call({.read_ratio = rr}).ok()) ++failed[c];
+    }
+  });
+  publisher.join();
   service->stop();
 
   SwapResult result;
@@ -276,42 +248,19 @@ SwapResult swap_bench(const core::Rafiki& rafiki, std::size_t shards, std::size_
 RegimeResult regime_bench(const core::Rafiki& rafiki, std::size_t shards,
                           std::size_t clients, std::size_t calls_per_client,
                           std::size_t window_every) {
-  serve::ServiceOptions options;
-  options.workers = 2;
-  options.queue_capacity = 4096;
   core::OnlineTuner tuner(rafiki);
-  auto service = benchutil::make_backend(shards, options);
-  service->publish(serve::make_snapshot(rafiki));
-  service->attach_tuner(tuner);
-  service->start();
+  auto service = benchutil::start_backend(rafiki, shards, &tuner);
 
-  // Each client walks the same regime schedule: a new read-ratio regime
-  // every `window_every` calls, opened by one ObserveWindow (the paper's
-  // 15-minute workload-shift cadence compressed into the closed loop) and
-  // filled with Predicts against that regime.
-  const std::vector<double> regimes = {0.15, 0.85, 0.45, 0.95, 0.25};
-  std::vector<std::thread> pool;
+  // Each client walks the same regime schedule.
   std::vector<std::uint64_t> failed(clients, 0);
   std::vector<std::uint64_t> stale(clients, 0);
-  for (std::size_t c = 0; c < clients; ++c) {
-    pool.emplace_back([&, c] {
-      for (std::size_t i = 0; i < calls_per_client; ++i) {
-        const double rr = regimes[(i / window_every) % regimes.size()];
-        serve::Request request;
-        request.read_ratio = rr;
-        if (i % window_every == 0) {
-          request.endpoint = serve::Endpoint::kObserveWindow;
-          const auto response = service->call(request);
-          if (!response.ok()) ++failed[c];
-          if (response.stale) ++stale[c];
-        } else {
-          request.endpoint = serve::Endpoint::kPredict;
-          if (!service->call(request).ok()) ++failed[c];
-        }
-      }
-    });
-  }
-  for (auto& client : pool) client.join();
+  benchutil::run_clients(clients, [&](std::size_t c) {
+    for (std::size_t i = 0; i < calls_per_client; ++i) {
+      const auto response = service->call(benchutil::regime_request(i, window_every));
+      if (!response.ok()) ++failed[c];
+      if (response.stale) ++stale[c];
+    }
+  });
   // Let in-flight background optimizations republish before reading the
   // final snapshot state.
   service->wait_retrain_idle();
@@ -344,20 +293,10 @@ ParityResult parity_bench(const core::Rafiki& rafiki, std::size_t shards,
   for (std::size_t i = 0; i < requests; ++i) rrs[i] = 0.01 * static_cast<double>(i % 101);
 
   const auto run = [&](std::size_t n_shards) {
-    serve::ServiceOptions options;
-    options.workers = 2;
-    options.max_batch = 32;
-    options.queue_capacity = 4096;
-    auto service = benchutil::make_backend(n_shards, options);
-    service->publish(serve::make_snapshot(rafiki));
-    service->start();
+    auto service = benchutil::start_backend(rafiki, n_shards, nullptr, 32);
     std::vector<double> means(requests, 0.0);
     for (std::size_t i = 0; i < requests; ++i) {
-      serve::Request request;
-      request.endpoint = serve::Endpoint::kPredict;
-      request.read_ratio = rrs[i];
-      request.config = configs[i];
-      means[i] = service->call(request).mean;
+      means[i] = service->call({.read_ratio = rrs[i], .config = configs[i]}).mean;
     }
     service->stop();
     return means;
@@ -383,35 +322,27 @@ RebalanceResult rebalance_bench(const core::Rafiki& rafiki, std::size_t clients,
   options.service.max_batch = 8;
   options.service.queue_capacity = 4096;
   serve::ShardedTuningService service(options);
-  service.publish(serve::make_snapshot(rafiki));
-  service.start();
+  benchutil::start_backend(service, rafiki);
 
   // Skew the initial placement: both hot bands (rr 0.20 and 0.80) on shard
   // 0, so the router has something to migrate.
   service.route_band(20, 0);
   service.route_band(80, 0);
 
-  std::vector<std::thread> pool;
-  std::vector<std::uint64_t> failed(clients, 0);
-  std::atomic<bool> running{true};
-  for (std::size_t c = 0; c < clients; ++c) {
-    pool.emplace_back([&, c] {
-      for (std::size_t i = 0; i < calls_per_client; ++i) {
-        serve::Request request;
-        request.endpoint = serve::Endpoint::kPredict;
-        request.read_ratio = (i % 2 == 0) ? 0.2 : 0.8;
-        if (!service.call(request).ok()) ++failed[c];
-      }
-    });
-  }
   // Rebalance continuously while the clients are firing.
+  std::atomic<bool> running{true};
   std::thread balancer([&] {
     while (running.load(std::memory_order_relaxed)) {
       service.rebalance_hottest();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
-  for (auto& client : pool) client.join();
+  std::vector<std::uint64_t> failed(clients, 0);
+  benchutil::run_clients(clients, [&](std::size_t c) {
+    for (std::size_t i = 0; i < calls_per_client; ++i) {
+      if (!service.call({.read_ratio = (i % 2 == 0) ? 0.2 : 0.8}).ok()) ++failed[c];
+    }
+  });
   running.store(false, std::memory_order_relaxed);
   balancer.join();
   service.stop();
@@ -459,13 +390,11 @@ void run_chain(const std::shared_ptr<ClosedLoop>& loop) {
       }
       return;
     }
-    serve::Request request;
-    request.endpoint = serve::Endpoint::kPredict;
     // Cycle the full band space so the router actually spreads the stream
     // over every shard (and the unsharded run sees the identical mix).
-    request.read_ratio = 0.01 * static_cast<double>(ticket % 101);
     serve::Status admitted = loop->service->try_submit(
-        request, [loop](serve::Response response) {
+        {.read_ratio = 0.01 * static_cast<double>(ticket % 101)},
+        [loop](serve::Response response) {
           if (response.ok()) {
             loop->ok.fetch_add(1, std::memory_order_relaxed);
           } else {
@@ -501,13 +430,7 @@ double closed_loop_qps(serve::TuningBackend& service, std::size_t concurrency,
 ScalingResult scaling_bench(const core::Rafiki& rafiki, std::size_t n_shards,
                             std::uint64_t calls1, std::uint64_t total64,
                             std::uint64_t total256) {
-  serve::ServiceOptions options;
-  options.workers = 2;
-  options.max_batch = 1;
-  options.queue_capacity = 4096;
-  auto service = benchutil::make_backend(n_shards, options);
-  service->publish(serve::make_snapshot(rafiki));
-  service->start();
+  auto service = benchutil::start_backend(rafiki, n_shards, nullptr, 1);
 
   ScalingResult result;
   result.shards = n_shards;
@@ -517,10 +440,7 @@ ScalingResult scaling_bench(const core::Rafiki& rafiki, std::size_t n_shards,
   // absorb all of that cold-start cost into its first timed requests (the
   // "1 client beats 8" anomaly in earlier runs of this table).
   for (std::size_t band = 0; band < 101; ++band) {
-    serve::Request request;
-    request.endpoint = serve::Endpoint::kPredict;
-    request.read_ratio = 0.01 * static_cast<double>(band);
-    (void)service->call(request);
+    (void)service->call({.read_ratio = 0.01 * static_cast<double>(band)});
   }
 
   result.clients1_qps = closed_loop_qps(*service, 1, calls1, result.failed);
@@ -534,143 +454,23 @@ ScalingResult scaling_bench(const core::Rafiki& rafiki, std::size_t n_shards,
   return result;
 }
 
-void write_json(const std::string& path, const std::vector<MicroResult>& micro,
-                const std::vector<LoadResult>& load, const SwapResult& swap,
-                const RegimeResult& regime, const std::vector<ScalingResult>& scaling,
-                const ParityResult& parity, const RebalanceResult& rebalance, bool smoke,
-                std::size_t shards, const std::vector<std::string>& gates_skipped) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "serve_load: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"serve_load\",\n  \"smoke\": %s,\n  \"shards\": %zu,\n",
-               smoke ? "true" : "false", shards);
-  std::fprintf(out, "  \"hw_threads\": %u,\n  \"gates_skipped\": %s,\n",
-               benchutil::hw_threads(), benchutil::json_string_array(gates_skipped).c_str());
-  std::fprintf(out, "  \"microbench\": [\n");
-  for (std::size_t i = 0; i < micro.size(); ++i) {
-    const auto& m = micro[i];
-    std::fprintf(out,
-                 "    {\"batch\": %zu, \"single_rows_per_s\": %.1f, "
-                 "\"batched_rows_per_s\": %.1f, \"speedup\": %.2f, "
-                 "\"bitwise_equal\": %s}%s\n",
-                 m.batch, m.single_rows_per_s, m.batched_rows_per_s, m.speedup,
-                 m.bitwise_equal ? "true" : "false", i + 1 < micro.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"service_load\": [\n");
-  for (std::size_t i = 0; i < load.size(); ++i) {
-    const auto& l = load[i];
-    std::fprintf(out,
-                 "    {\"clients\": %zu, \"max_batch\": %zu, \"shards\": %zu, "
-                 "\"qps\": %.1f, \"p50_us\": %.1f, \"p99_us\": %.1f, "
-                 "\"mean_batch\": %.2f, \"ok\": %llu, \"failed\": %llu, "
-                 "\"spills\": %llu}%s\n",
-                 l.clients, l.max_batch, l.shards, l.qps, l.p50_us, l.p99_us, l.mean_batch,
-                 static_cast<unsigned long long>(l.ok),
-                 static_cast<unsigned long long>(l.failed),
-                 static_cast<unsigned long long>(l.spills), i + 1 < load.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "  ],\n  \"swap_under_load\": {\"requests\": %llu, \"failed\": %llu, "
-               "\"versions_published\": %llu},\n",
-               static_cast<unsigned long long>(swap.requests),
-               static_cast<unsigned long long>(swap.failed),
-               static_cast<unsigned long long>(swap.versions_published));
-  std::fprintf(out,
-               "  \"regime_changes\": {\"predicts\": %llu, \"windows\": %llu, "
-               "\"failed\": %llu, \"stale_windows\": %llu, \"retrain_runs\": %llu, "
-               "\"versions_published\": %llu, "
-               "\"tuned_buckets\": %llu, \"predict_p99_us\": %.1f, "
-               "\"observe_p99_us\": %.1f, \"retrain_mean_us\": %.1f},\n",
-               static_cast<unsigned long long>(regime.predicts),
-               static_cast<unsigned long long>(regime.windows),
-               static_cast<unsigned long long>(regime.failed),
-               static_cast<unsigned long long>(regime.stale_windows),
-               static_cast<unsigned long long>(regime.retrain_runs),
-               static_cast<unsigned long long>(regime.versions_published),
-               static_cast<unsigned long long>(regime.tuned_buckets),
-               regime.predict_p99_us, regime.observe_p99_us, regime.retrain_mean_us);
-  std::fprintf(out, "  \"shard_scaling\": [\n");
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    const auto& s = scaling[i];
-    std::fprintf(out,
-                 "    {\"shards\": %zu, \"workers\": %zu, \"clients1_qps\": %.1f, "
-                 "\"clients64_qps\": %.1f, \"clients256_qps\": %.1f, "
-                 "\"speedup64_vs_1shard\": %.2f, \"failed\": %llu, \"spills\": %llu, "
-                 "\"per_shard\": [",
-                 s.shards, s.workers, s.clients1_qps, s.clients64_qps, s.clients256_qps,
-                 s.speedup64, static_cast<unsigned long long>(s.failed),
-                 static_cast<unsigned long long>(s.spills));
-    for (std::size_t j = 0; j < s.per_shard.size(); ++j) {
-      const auto& p = s.per_shard[j];
-      std::fprintf(out,
-                   "{\"requests\": %llu, \"workers\": %zu, \"cpu_s\": %.3f, "
-                   "\"mean_queue_depth\": %.2f, \"max_queue_depth\": %.0f}%s",
-                   static_cast<unsigned long long>(p.predict_completed), p.workers,
-                   static_cast<double>(p.worker_cpu_us) / 1e6, p.mean_queue_depth,
-                   p.max_queue_depth,
-                   j + 1 < s.per_shard.size() ? ", " : "");
-    }
-    std::fprintf(out, "]}%s\n", i + 1 < scaling.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "  ],\n  \"sharded_parity\": {\"requests\": %llu, "
-               "\"sharded_equals_unsharded\": %s, \"unsharded_equals_scalar\": %s},\n",
-               static_cast<unsigned long long>(parity.requests),
-               parity.sharded_equals_unsharded ? "true" : "false",
-               parity.unsharded_equals_scalar ? "true" : "false");
-  std::fprintf(out,
-               "  \"rebalance_under_load\": {\"requests\": %llu, \"failed\": %llu, "
-               "\"rebalances\": %llu, \"spills\": %llu, \"route_changed\": %s}\n}\n",
-               static_cast<unsigned long long>(rebalance.requests),
-               static_cast<unsigned long long>(rebalance.failed),
-               static_cast<unsigned long long>(rebalance.rebalances),
-               static_cast<unsigned long long>(rebalance.spills),
-               rebalance.route_changed ? "true" : "false");
-  std::fclose(out);
-  benchutil::note("wrote " + path);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_serve.json";
-  std::size_t shards = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = static_cast<std::size_t>(std::atoi(argv[++i]));
-      if (shards == 0) shards = 1;
-    }
-  }
-
-  // Train the surrogate the service will serve. The smoke profile matches
-  // the sanitizer tests; the full profile uses a mid-sized ensemble so the
-  // microbenchmark reflects realistic per-member work.
-  core::RafikiOptions options;
-  options.workload_grid = smoke ? std::vector<double>{0.2, 0.8}
-                                : std::vector<double>{0.1, 0.5, 0.9};
-  options.n_configs = smoke ? 5 : 10;
-  options.collect.measure.ops = smoke ? 3000 : 20000;
-  options.collect.measure.warmup_ops = smoke ? 300 : 2000;
-  options.ensemble.n_nets = smoke ? 3 : 10;
-  options.ensemble.train.max_epochs = smoke ? 30 : 100;
-  benchutil::note("training the surrogate ensemble...");
-  core::Rafiki rafiki(options);
-  rafiki.set_key_params(engine::key_params());
-  rafiki.train(rafiki.collect());
+  const auto flags =
+      benchutil::parse_flags(argc, argv, {.out = "BENCH_serve.json"}, {"--shards"});
+  const bool smoke = flags.smoke;
+  const std::size_t shards = flags.shards;
+  const core::Rafiki rafiki = benchutil::train_serving_profile(smoke);
 
   // Phase A: batched-kernel microbenchmark.
-  // Even the smoke profile needs multi-millisecond timing sections: with
+  // Even the smoke profile needs multi-millisecond timing passes: with
   // ~1 ms per pass the speedup ratio is scheduler noise, not a measurement.
   const std::size_t rows = smoke ? 1024 : 4096;
-  const std::size_t repeats = smoke ? 4 : 5;
+  const double pass_s = smoke ? 0.02 : 0.1;
   std::vector<MicroResult> micro;
   for (std::size_t batch : {8u, 32u, 64u}) {
-    micro.push_back(micro_bench(rafiki, batch, rows, repeats));
+    micro.push_back(micro_bench(rafiki, batch, rows, pass_s));
   }
   Table micro_table({"batch", "single rows/s", "batched rows/s", "speedup", "bitwise =="});
   for (const auto& m : micro) {
@@ -811,8 +611,61 @@ int main(int argc, char** argv) {
     gates_skipped.push_back("offpath_retrain");
   }
   if (!scaling_gate) gates_skipped.push_back("shard_scaling");
-  write_json(out_path, micro, load, swap, regime, scaling, parity, rebalance, smoke,
-             shards, gates_skipped);
+  json::write(flags.out, {
+      {"bench", "serve_load"}, {"smoke", smoke}, {"shards", shards},
+      {"hw_threads", benchutil::hw_threads()}, {"gates_skipped", gates_skipped},
+      {"microbench", json::rows(micro, [](const MicroResult& m) {
+         return json::object({{"batch", m.batch},
+                              {"single_rows_per_s", json::fixed(m.single_rows_per_s, 1)},
+                              {"batched_rows_per_s", json::fixed(m.batched_rows_per_s, 1)},
+                              {"speedup", json::fixed(m.speedup, 2)},
+                              {"bitwise_equal", m.bitwise_equal}});
+       })},
+      {"service_load", json::rows(load, [](const LoadResult& l) {
+         return json::object({{"clients", l.clients}, {"max_batch", l.max_batch},
+                              {"shards", l.shards}, {"qps", json::fixed(l.qps, 1)},
+                              {"p50_us", json::fixed(l.p50_us, 1)},
+                              {"p99_us", json::fixed(l.p99_us, 1)},
+                              {"mean_batch", json::fixed(l.mean_batch, 2)}, {"ok", l.ok},
+                              {"failed", l.failed}, {"spills", l.spills}});
+       })},
+      {"swap_under_load",
+       json::object({{"requests", swap.requests}, {"failed", swap.failed},
+                     {"versions_published", swap.versions_published}})},
+      {"regime_changes",
+       json::object({{"predicts", regime.predicts}, {"windows", regime.windows},
+                     {"failed", regime.failed}, {"stale_windows", regime.stale_windows},
+                     {"retrain_runs", regime.retrain_runs},
+                     {"versions_published", regime.versions_published},
+                     {"tuned_buckets", regime.tuned_buckets},
+                     {"predict_p99_us", json::fixed(regime.predict_p99_us, 1)},
+                     {"observe_p99_us", json::fixed(regime.observe_p99_us, 1)},
+                     {"retrain_mean_us", json::fixed(regime.retrain_mean_us, 1)}})},
+      {"shard_scaling", json::rows(scaling, [](const ScalingResult& s) {
+         return json::object(
+             {{"shards", s.shards}, {"workers", s.workers},
+              {"clients1_qps", json::fixed(s.clients1_qps, 1)},
+              {"clients64_qps", json::fixed(s.clients64_qps, 1)},
+              {"clients256_qps", json::fixed(s.clients256_qps, 1)},
+              {"speedup64_vs_1shard", json::fixed(s.speedup64, 2)}, {"failed", s.failed},
+              {"spills", s.spills},
+              {"per_shard", json::array(s.per_shard, [](const serve::ShardLoad& p) {
+                 return json::object(
+                     {{"requests", p.predict_completed}, {"workers", p.workers},
+                      {"cpu_s", json::fixed(static_cast<double>(p.worker_cpu_us) / 1e6, 3)},
+                      {"mean_queue_depth", json::fixed(p.mean_queue_depth, 2)},
+                      {"max_queue_depth", json::fixed(p.max_queue_depth, 0)}});
+               })}});
+       })},
+      {"sharded_parity",
+       json::object({{"requests", parity.requests},
+                     {"sharded_equals_unsharded", parity.sharded_equals_unsharded},
+                     {"unsharded_equals_scalar", parity.unsharded_equals_scalar}})},
+      {"rebalance_under_load",
+       json::object({{"requests", rebalance.requests}, {"failed", rebalance.failed},
+                     {"rebalances", rebalance.rebalances}, {"spills", rebalance.spills},
+                     {"route_changed", rebalance.route_changed}})},
+  });
 
   const auto count = [](std::uint64_t n) { return std::to_string(n); };
   benchutil::Gates gates;
@@ -825,23 +678,19 @@ int main(int argc, char** argv) {
                 "differs", "bit-identical");
   }
   for (const auto& l : load) {
-    gates.check(l.failed == 0,
-                "B failed calls (" + std::to_string(l.clients) + " clients, max batch " +
-                    std::to_string(l.max_batch) + ")",
-                count(l.failed), "== 0");
+    gates.zero("B failed calls (" + std::to_string(l.clients) + " clients, max batch " +
+                   std::to_string(l.max_batch) + ")",
+               l.failed);
   }
-  gates.check(swap.failed == 0, "C failed calls during swaps", count(swap.failed), "== 0");
+  gates.zero("C failed calls during swaps", swap.failed);
   // Phase D structural gates (always on): nothing fails across background
   // republishes, cache-miss windows are answered stale-marked instead of
   // blocking on the GA, and the tuned configs show up in later snapshot
   // versions.
-  gates.check(regime.failed == 0, "D failed calls", count(regime.failed), "== 0");
-  gates.check(regime.stale_windows >= 1, "D stale-served windows",
-              count(regime.stale_windows), ">= 1");
-  gates.check(regime.retrain_runs >= 1, "D background retrain runs",
-              count(regime.retrain_runs), ">= 1");
-  gates.check(regime.tuned_buckets >= 1, "D tuned buckets in final snapshot",
-              count(regime.tuned_buckets), ">= 1");
+  gates.zero("D failed calls", regime.failed);
+  gates.at_least("D stale-served windows", regime.stale_windows, 1);
+  gates.at_least("D background retrain runs", regime.retrain_runs, 1);
+  gates.at_least("D tuned buckets in final snapshot", regime.tuned_buckets, 1);
   gates.check(regime.versions_published > 1, "D snapshot versions",
               count(regime.versions_published), "> 1");
   // Perf gates: serving a window must be far cheaper than the GA it no
@@ -871,13 +720,11 @@ int main(int argc, char** argv) {
   // a real migration); the scaling ratios only where 8 clients can
   // actually run in parallel.
   for (const auto& s : scaling) {
-    gates.check(s.failed == 0, "E failed calls (" + std::to_string(s.shards) + " shards)",
-                count(s.failed), "== 0");
+    gates.zero("E failed calls (" + std::to_string(s.shards) + " shards)", s.failed);
   }
   gates.check(parity.sharded_equals_unsharded && parity.unsharded_equals_scalar,
               "E sharded == unsharded == scalar predictions", "differs", "bit-identical");
-  gates.check(rebalance.failed == 0, "F failed or lost calls", count(rebalance.failed),
-              "== 0");
+  gates.zero("F failed or lost calls", rebalance.failed);
   gates.check(rebalance.rebalances >= 1 && rebalance.route_changed, "F migrations",
               count(rebalance.rebalances) +
                   (rebalance.route_changed ? ", route migrated" : ", route unchanged"),
