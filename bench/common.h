@@ -246,19 +246,11 @@ inline Flags parse_flags(int argc, char** argv, Flags flags,
 }
 
 /// The surrogate every load bench serves over the paper's five key
-/// parameters. The smoke profile matches the sanitizer tests; the full
-/// profile uses a mid-sized ensemble so per-request work is realistic.
+/// parameters, trained with core::serving_options (rafiki_serverd's
+/// profiles).
 inline core::Rafiki train_serving_profile(bool smoke) {
-  core::RafikiOptions options;
-  options.workload_grid = smoke ? std::vector<double>{0.2, 0.8}
-                                : std::vector<double>{0.1, 0.5, 0.9};
-  options.n_configs = smoke ? 5 : 10;
-  options.collect.measure.ops = smoke ? 3000 : 20000;
-  options.collect.measure.warmup_ops = smoke ? 300 : 2000;
-  options.ensemble.n_nets = smoke ? 3 : 10;
-  options.ensemble.train.max_epochs = smoke ? 30 : 100;
   std::printf("training the surrogate ensemble...\n");
-  core::Rafiki rafiki(options);
+  core::Rafiki rafiki(core::serving_options(smoke));
   rafiki.set_key_params(engine::key_params());
   rafiki.train(rafiki.collect());
   return rafiki;

@@ -26,6 +26,18 @@ struct Rafiki::DynamicKnobs {
   bool seeded GUARDED_BY(mutex) = false;
 };
 
+RafikiOptions serving_options(bool smoke) {
+  RafikiOptions options;
+  options.workload_grid = smoke ? std::vector<double>{0.2, 0.8}
+                                : std::vector<double>{0.1, 0.5, 0.9};
+  options.n_configs = smoke ? 5 : 10;
+  options.collect.measure.ops = smoke ? 3000 : 20000;
+  options.collect.measure.warmup_ops = smoke ? 300 : 2000;
+  options.ensemble.n_nets = smoke ? 3 : 10;
+  options.ensemble.train.max_epochs = smoke ? 30 : 100;
+  return options;
+}
+
 Rafiki::Rafiki(RafikiOptions options) : options_(std::move(options)) {
   options_.collect.measure.scylla = options_.scylla;
   if (options_.dynamic_knobs) {

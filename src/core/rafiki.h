@@ -72,6 +72,14 @@ struct RafikiOptions {
   tune::SubspaceOptions subspace{};
 };
 
+/// The serving stack's training profile, shared by rafiki_serverd and the
+/// load benches. Smoke (seconds; the CI and sanitizer size): workload grid
+/// {0.2, 0.8}, 5 configurations, 3000 measured ops, 3 networks of 30 epochs.
+/// Full (minutes): {0.1, 0.5, 0.9}, 10 configurations, 20000 ops, 10
+/// networks of 100 epochs — a mid-sized ensemble, so per-request work is
+/// realistic. Everything else keeps its RafikiOptions default.
+RafikiOptions serving_options(bool smoke);
+
 struct ParamRanking {
   engine::ParamId id{};
   double score = 0.0;  ///< stddev of per-level mean throughput (Figure 5)

@@ -333,6 +333,9 @@ void Server::read_pass(Loop& loop) {
       remove_conn(loop, *conn);
     }
   }
+  // The round's connections are queued for flush_pass, which closes the
+  // ones that finished once their answers are out.
+  answer_round(loop);
   loop.read_set.clear();
 }
 
@@ -474,12 +477,21 @@ void Server::handle_request(Loop& loop, const ConnectionPtr& conn, const Frame& 
   }
   // Loop-thread admission check: we see our own increments; a worker's
   // decrement arriving late only over-rejects for one pass. Relaxed is fine.
+  // The pending round counts as in flight, so answer it before refusing:
+  // only work parked on workers limits a deep pipeline.
+  if (conn->in_flight.load(std::memory_order_relaxed) >= options_.max_pipeline) {
+    answer_round(loop);
+  }
   if (conn->in_flight.load(std::memory_order_relaxed) >= options_.max_pipeline) {
     // Per-connection backpressure surfaces on the wire instead of stalling
     // TCP: the client sees a typed kOverloaded and can back off.
     serve::Response response;
     response.status = serve::Status::kOverloaded;
     queue_response(loop, *conn, id, endpoint, response, tenant);
+    return;
+  }
+  if (endpoint == serve::Endpoint::kPredict) {
+    defer_predict(loop, conn, frame);
     return;
   }
 
@@ -528,6 +540,61 @@ void Server::handle_request(Loop& loop, const ConnectionPtr& conn, const Frame& 
     response.status = admitted;
     queue_response(loop, *conn, id, endpoint, response, tenant);
   }
+}
+
+void Server::defer_predict(Loop& loop, const ConnectionPtr& conn, const Frame& frame) {
+  if (loop.pending.empty()) {
+    // det:ok(wall-clock): reporting-only wire-latency timestamp
+    loop.round_start = std::chrono::steady_clock::now();
+  }
+  if (loop.round_conns.empty() || loop.round_conns.back() != conn) {
+    loop.round_conns.push_back(conn);
+  }
+  // Loop-thread increment, paired with answer_round's decrement.
+  conn->in_flight.fetch_add(1, std::memory_order_relaxed);
+  loop.pending.push_back({conn.get(), frame.request_id, conn->wire_version});
+  loop.round_requests.push_back(frame.request);
+  if (loop.pending.size() >= kMaxRoundRows) answer_round(loop);
+}
+
+void Server::answer_round(Loop& loop) {
+  const std::size_t n = loop.pending.size();
+  if (n == 0) return;
+  loop.round_responses.resize(n);
+  service_.answer_predicts(loop.round_requests, loop.round_responses, loop.scratch);
+  // det:ok(wall-clock): reporting-only wire-latency measurement
+  const double latency = elapsed_us(loop.round_start, std::chrono::steady_clock::now());
+
+  for (std::size_t begin = 0; begin < n;) {
+    Connection& conn = *loop.pending[begin].conn;
+    std::size_t end = begin + 1;
+    while (end < n && loop.pending[end].conn == &conn) ++end;
+    {
+      MutexLock lock(conn.out_mutex);
+      for (std::size_t i = begin; i < end; ++i) {
+        encode_response(loop.pending[i].request_id, serve::Endpoint::kPredict,
+                        loop.round_responses[i], conn.obuf, loop.round_requests[i].tenant,
+                        loop.pending[i].version);
+      }
+      conn.obuf_frames += end - begin;
+      conn.obuf_bytes.store(conn.obuf.size() - conn.opos, std::memory_order_relaxed);
+      if (!conn.flush_queued) {
+        conn.flush_queued = true;
+        loop.flush_set.push_back(conn.shared_from_this());
+      }
+    }
+    // Release pairs with the acquire loads in idle() / should_close(), like
+    // a worker callback's decrement.
+    conn.in_flight.fetch_sub(end - begin, std::memory_order_release);
+    begin = end;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    stats_.record_frame_out();
+    stats_.record_wire_latency(serve::Endpoint::kPredict, latency);
+  }
+  loop.pending.clear();
+  loop.round_requests.clear();
+  loop.round_conns.clear();
 }
 
 void Server::queue_response(Loop& loop, Connection& conn, std::uint64_t request_id,

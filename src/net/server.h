@@ -12,14 +12,22 @@
 //     state needs no locks. Loop 0 doubles as the acceptor.
 //   * Pipelining — any number of requests (up to max_pipeline) may be in
 //     flight per connection; responses carry the request id they answer and
-//     may return out of order. Completion uses TuningService::try_submit's
-//     callback path: a worker thread encodes the response into the
-//     connection's (mutex-guarded) output buffer and posts the connection to
-//     the owning loop's mailbox — the loop never blocks on a future.
+//     may return out of order.
+//   * The poll round is the Predict batch: every Predict a loop decodes in
+//     one read pass joins the loop's pending round, and when the pass ends
+//     (or the round reaches kMaxRoundRows) the loop answers the whole round
+//     with one TuningBackend::answer_predicts call on its own thread — no
+//     queue, no worker wake-up — and encodes the answers straight into each
+//     connection's output buffer, one out_mutex acquisition per connection
+//     per round. Optimize and ObserveWindow go through try_submit's callback
+//     path instead, so a GA never runs on an IO thread: a worker encodes the
+//     response into the connection's (mutex-guarded) output buffer and posts
+//     the connection to the owning loop's mailbox — the loop never blocks
+//     on a future.
 //   * Write coalescing: every response completed by the time a pass flushes
 //     sits in the connection's output buffer already, so one send() carries
-//     them all. Flush batch sizes and syscall counts fold into ServiceStats'
-//     wire table.
+//     them all — a round's Predict answers included. Flush batch sizes and
+//     syscall counts fold into ServiceStats' wire table.
 //   * Backpressure maps to the wire, not to TCP stalls: a full service queue
 //     or a full per-connection pipeline answers with a typed kOverloaded
 //     response immediately; the socket keeps draining. The reverse direction
@@ -30,9 +38,10 @@
 //     header) are answered with an error frame and the stream continues;
 //     fatal ones (bad magic/version/oversized length) get one final error
 //     frame and the connection closes.
-//   * stop() drains gracefully: in-flight requests finish and their
-//     responses flush, requests decoded during the drain are answered with
-//     kShuttingDown — no accepted frame is ever dropped. Connections whose
+//   * stop() drains gracefully: in-flight requests (a pending round's
+//     Predicts included: they count in the connection's in_flight) finish
+//     and their responses flush, requests decoded during the drain are
+//     answered with kShuttingDown — no accepted frame is ever dropped. Connections whose
 //     handshake completed before the drain (still sitting in the accept
 //     backlog) are adopted and answered too, instead of being RST by the
 //     listener close. Idle connections are held until the peer closes (its
@@ -100,6 +109,10 @@ struct ServerOptions {
 
 class Server {
  public:
+  /// A loop answers its pending Predict round once it holds this many rows,
+  /// even mid-read, so the round's buffers stay bounded.
+  static constexpr std::size_t kMaxRoundRows = 256;
+
   /// The backend must outlive the server.
   explicit Server(serve::TuningBackend& service, ServerOptions options = {});
   ~Server();
@@ -180,10 +193,22 @@ class Server {
     /// thread only (handle_read / flush); atomic so that invariant is a
     /// tearing-safe implementation detail, not a correctness cliff.
     std::atomic<bool> dead{false};
-    /// Incremented on the loop thread at submit; decremented by the service
-    /// worker's completion callback (release) — idle()/should_close() load
-    /// with acquire to order against the callback's buffer writes.
+    /// Incremented on the loop thread at submit or when a Predict joins the
+    /// pending round; decremented by the service worker's completion
+    /// callback, or by the loop when the round is answered (release) —
+    /// idle()/should_close() load with acquire to order against the
+    /// callback's buffer writes.
     std::atomic<std::size_t> in_flight{0};
+  };
+
+  /// One decoded Predict waiting for its poll round's forward. Its request
+  /// sits at the same index of Loop::round_requests.
+  struct PendingPredict {
+    Connection* conn;  ///< kept alive by Loop::round_conns
+    std::uint64_t request_id;
+    /// The peer's dialect when the frame arrived (wire_version may change
+    /// before the round is answered).
+    std::uint8_t version;
   };
 
   struct Loop {
@@ -201,6 +226,17 @@ class Server {
     std::vector<ConnectionPtr> flush_set;
     std::vector<ConnectionPtr> grabbed;  ///< mailbox swap scratch
     std::vector<PollerEvent> events;     ///< wait() scratch
+    // --- the pending Predict round (loop-thread only; empty between passes,
+    // its buffers reused and never freed) ---
+    std::vector<PendingPredict> pending;
+    std::vector<serve::Request> round_requests;
+    std::vector<serve::Response> round_responses;
+    /// One reference per connection with pending Predicts (a connection's
+    /// entries are contiguous: its frames are decoded in one go).
+    std::vector<ConnectionPtr> round_conns;
+    serve::PredictScratch scratch;
+    /// Decode time of the round's first Predict (wire-latency telemetry).
+    std::chrono::steady_clock::time_point round_start{};
     std::thread thread;
   };
 
@@ -215,8 +251,8 @@ class Server {
   bool dispatch_events(Loop& loop);
   /// Moves mailbox.dirty into loop.flush_set.
   void grab_mailbox(Loop& loop);
-  /// Reads + decodes + submits for every connection in read_set, then
-  /// clears it.
+  /// Reads + decodes + submits for every connection in read_set, answers
+  /// the pass's Predict round, then clears read_set.
   void read_pass(Loop& loop);
   /// Flushes and clears flush_set, closing connections that finished.
   void flush_pass(Loop& loop);
@@ -227,6 +263,12 @@ class Server {
   void handle_read(Loop& loop, Connection& conn);
   void process_frames(Loop& loop, const ConnectionPtr& conn);
   void handle_request(Loop& loop, const ConnectionPtr& conn, const Frame& frame);
+  /// Adds a Predict to the loop's pending round; answers the round once it
+  /// holds kMaxRoundRows.
+  void defer_predict(Loop& loop, const ConnectionPtr& conn, const Frame& frame);
+  /// Answers the pending round with one answer_predicts call, encodes each
+  /// answer into its connection's output buffer and queues the flushes.
+  void answer_round(Loop& loop);
   /// Encodes in the connection's wire_version, echoing the request's tenant.
   void queue_response(Loop& loop, Connection& conn, std::uint64_t request_id,
                       serve::Endpoint endpoint, const serve::Response& response,

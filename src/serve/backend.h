@@ -1,7 +1,8 @@
 // The serving-plane surface shared by the single TuningService and the
 // ShardedTuningService router (and the TenantFleet, which is a router):
-// snapshot publication, request submission, lifecycle, and one merged
-// Telemetry value. Front-ends (net::Server, rafiki_serverd, the load benches)
+// snapshot publication, request submission (queued, or a Predict round
+// answered on the caller's thread), lifecycle, and one merged Telemetry
+// value. Front-ends (net::Server, rafiki_serverd, the load benches)
 // program against this interface so a process can swap between one service
 // and an N-shard fleet with a flag.
 #pragma once
@@ -9,7 +10,10 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "serve/snapshot.h"
 #include "serve/stats.h"
@@ -28,6 +32,29 @@ namespace rafiki::serve {
 /// submit path — a rejected admission hands it back to the caller intact,
 /// and hot-path captures up to MoveFunc's inline size never touch the heap.
 using ResponseCallback = MoveFunc<void(Response)>;
+
+/// Reusable buffers for answer_predicts, owned by the caller (one per IO
+/// loop, one per worker): the round's feature rows go straight into `rows`
+/// and the ensemble scores them through `workspace`, so a warmed-up caller
+/// allocates nothing per round.
+struct PredictScratch {
+  ml::Matrix rows;
+  ml::SurrogateEnsemble::BatchWorkspace workspace;
+  std::vector<ml::SurrogateEnsemble::Prediction> predictions;
+  /// Indices of the round's requests still to answer: fleet admission
+  /// narrows it, the router and the service reorder it in place.
+  std::vector<std::uint32_t> order;
+  /// Per-request grouping key, indexed like the round (the router's home
+  /// shard).
+  std::vector<std::uint32_t> keys;
+
+  /// Resets `order` to every request of an n-request round, in arrival order.
+  std::span<std::uint32_t> every_row(std::size_t n) {
+    order.resize(n);
+    std::iota(order.begin(), order.end(), std::uint32_t{0});
+    return order;
+  }
+};
 
 class TuningBackend {
  public:
@@ -55,6 +82,16 @@ class TuningBackend {
   /// verdict (Overloaded / ShuttingDown), in which case `done` is never
   /// invoked and the caller answers inline.
   virtual Status try_submit(Request request, ResponseCallback done) = 0;
+
+  /// Answers a round of Predict requests on the calling thread with one
+  /// batched forward per (shard, tenant) group: responses[i] answers
+  /// requests[i], and every response is written. The verdicts try_submit
+  /// would give (ShuttingDown, a fleet's NotReady / Overloaded) come back
+  /// per request, together with DeadlineExceeded and NotReady (no trained
+  /// snapshot). No worker and no queue is involved. Every request must be a
+  /// Predict, and requests.size() == responses.size().
+  virtual void answer_predicts(std::span<const Request> requests,
+                               std::span<Response> responses, PredictScratch& scratch) = 0;
 
   virtual void start() = 0;
   virtual void stop() = 0;

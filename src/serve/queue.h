@@ -115,6 +115,9 @@ class BoundedQueue {
     MutexLock lock(mutex_);
     return closed_;
   }
+  /// Lock-free advisory closed() (relaxed): for callers that answer without
+  /// pushing and only need to honour a close that already happened.
+  bool closed_hint() const noexcept { return closed_hint_.load(std::memory_order_relaxed); }
 
   std::size_t size() const {
     MutexLock lock(mutex_);

@@ -1,5 +1,7 @@
 #include "serve/service.h"
 
+#include <algorithm>
+#include <array>
 #include <functional>
 #include <utility>
 
@@ -220,15 +222,46 @@ void TuningService::fold_into(Telemetry& out) const {
   out.shards.push_back(load);
 }
 
+void TuningService::answer_predicts(std::span<const Request> requests,
+                                    std::span<Response> responses, PredictScratch& scratch) {
+  answer_rows(requests, responses, scratch.every_row(requests.size()), scratch);
+}
+
+void TuningService::answer_rows(std::span<const Request> requests,
+                                std::span<Response> responses, std::span<std::uint32_t> rows,
+                                PredictScratch& scratch) {
+  if (queue_.closed_hint()) {
+    // Stopped: the same verdict try_submit gives a closed queue.
+    for (const std::uint32_t r : rows) {
+      responses[r] = Response{};
+      responses[r].status = Status::kShuttingDown;
+      stats_.record_reject(Endpoint::kPredict, Status::kShuttingDown);
+    }
+    return;
+  }
+  // det:ok(wall-clock): reporting-only latency measurement
+  const auto start = std::chrono::steady_clock::now();
+  forward_rows(requests, responses, rows, scratch);
+  // det:ok(wall-clock): reporting-only latency measurement
+  const double latency = elapsed_us(start, std::chrono::steady_clock::now());
+  std::array<std::size_t, kStatusCount> by_status{};
+  for (const std::uint32_t r : rows) ++by_status[static_cast<std::size_t>(responses[r].status)];
+  for (std::size_t status = 0; status < kStatusCount; ++status) {
+    if (by_status[status] == 0) continue;
+    stats_.record_answered(Endpoint::kPredict, static_cast<Status>(status), by_status[status],
+                           latency);
+  }
+}
+
 void TuningService::worker_loop(std::size_t worker_index) {
   if (!options_.cpu_affinity.empty()) {
     pin_current_thread(
         options_.cpu_affinity[worker_index % options_.cpu_affinity.size()]);
   }
-  PredictScratch scratch;
+  WorkerScratch scratch;
   while (auto job = queue_.pop()) {
     if (job->request.endpoint != Endpoint::kPredict) {
-      run_single(std::move(*job), scratch);
+      run_single(std::move(*job));
       continue;
     }
 
@@ -236,21 +269,20 @@ void TuningService::worker_loop(std::size_t worker_index) {
     // up to max_batch. An empty queue means no co-arriving requests, so the
     // batch runs now rather than waiting for more. A non-Predict request
     // popped while draining terminates the batch and runs right after it.
-    std::vector<Job> batch;
-    batch.push_back(std::move(*job));
+    scratch.batch.push_back(std::move(*job));
     std::optional<Job> carry;
-    while (batch.size() < options_.max_batch) {
+    while (scratch.batch.size() < options_.max_batch) {
       auto next = queue_.try_pop();
       if (!next) break;
       if (next->request.endpoint == Endpoint::kPredict) {
-        batch.push_back(std::move(*next));
+        scratch.batch.push_back(std::move(*next));
       } else {
         carry = std::move(*next);
         break;
       }
     }
-    run_predict_batch(std::move(batch), scratch);
-    if (carry) run_single(std::move(*carry), scratch);
+    run_predict_batch(scratch);
+    if (carry) run_single(std::move(*carry));
   }
   worker_cpu_us_.fetch_add(thread_cpu_us(), std::memory_order_relaxed);
 }
@@ -262,114 +294,130 @@ void TuningService::finish(Job& job, Response response) {
   job.done(std::move(response));
 }
 
-void TuningService::run_predict_batch(std::vector<Job> batch, PredictScratch& scratch) {
-  const Tick now = now_tick();
+void TuningService::run_predict_batch(WorkerScratch& scratch) {
+  scratch.requests.clear();
+  for (const Job& job : scratch.batch) scratch.requests.push_back(job.request);
+  scratch.responses.resize(scratch.batch.size());
+  forward_rows(scratch.requests, scratch.responses,
+               scratch.predict.every_row(scratch.batch.size()), scratch.predict);
+  for (std::size_t i = 0; i < scratch.batch.size(); ++i) {
+    finish(scratch.batch[i], std::move(scratch.responses[i]));
+  }
+  scratch.batch.clear();
+}
 
-  // Deadline triage, then partition by tenant: a micro-batch may interleave
-  // tenants, and each group must evaluate against its own tenant's snapshot.
-  // std::map keeps the per-tenant order deterministic (ascending TenantId);
-  // within a group, arrival order is preserved.
-  std::map<TenantId, std::vector<Job>> groups;
-  for (auto& job : batch) {
-    if (expired(job.request, now)) {
-      Response response;
-      response.status = Status::kDeadlineExceeded;
-      finish(job, response);
-    } else {
-      groups[job.request.tenant].push_back(std::move(job));
-    }
+void TuningService::forward_rows(std::span<const Request> requests,
+                                 std::span<Response> responses, std::span<std::uint32_t> rows,
+                                 PredictScratch& scratch) {
+  // Deadline triage: expired rows are answered and moved behind the live ones.
+  const Tick now = now_tick();
+  const auto live_end = std::partition(
+      rows.begin(), rows.end(), [&](std::uint32_t r) { return !expired(requests[r], now); });
+  const auto live = rows.first(static_cast<std::size_t>(live_end - rows.begin()));
+  for (const std::uint32_t r : rows.subspan(live.size())) {
+    responses[r] = Response{};
+    responses[r].status = Status::kDeadlineExceeded;
   }
 
-  for (auto& [tenant, live] : groups) {
+  // Group by tenant: a round may interleave tenants, and each group must
+  // evaluate against its own tenant's snapshot. Sorting on (tenant, index)
+  // keeps groups in ascending TenantId and arrival order within a group,
+  // with no allocation.
+  std::sort(live.begin(), live.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return requests[a].tenant != requests[b].tenant ? requests[a].tenant < requests[b].tenant
+                                                    : a < b;
+  });
+
+  for (std::size_t begin = 0; begin < live.size();) {
+    const TenantId tenant = requests[live[begin]].tenant;
+    std::size_t end = begin + 1;
+    while (end < live.size() && requests[live[end]].tenant == tenant) ++end;
+    const auto group = live.subspan(begin, end - begin);
+    begin = end;
+
     const auto snapshot = tenant_snapshot(tenant);
     if (!snapshot || !snapshot->ensemble.trained()) {
       // Unknown tenant, or the tenant's slot has no trained model yet.
-      for (auto& job : live) {
-        Response response;
-        response.status = Status::kNotReady;
-        finish(job, response);
+      for (const std::uint32_t r : group) {
+        responses[r] = Response{};
+        responses[r].status = Status::kNotReady;
       }
       continue;
     }
 
-    scratch.rows.resize(live.size(), snapshot->key_params.size() + 1);
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      snapshot->write_feature_row(live[i].request.read_ratio, live[i].request.config,
-                                  scratch.rows.row(i));
+    scratch.rows.resize(group.size(), snapshot->key_params.size() + 1);
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      const Request& request = requests[group[i]];
+      snapshot->write_feature_row(request.read_ratio, request.config, scratch.rows.row(i));
     }
     auto& predictions = scratch.predictions;
-    predictions.resize(live.size());
+    predictions.resize(group.size());
     snapshot->ensemble.predict_batch_with_uncertainty(scratch.rows, predictions,
                                                       scratch.workspace);
-    stats_.record_batch(live.size());
+    stats_.record_batch(group.size());
 
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      Response response;
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      Response& response = responses[group[i]];
+      response = Response{};
       response.status = Status::kOk;
       response.model_version = snapshot->version;
       response.mean = predictions[i].mean;
       response.stddev = predictions[i].stddev;
-      response.batch_size = live.size();
-      finish(live[i], response);
+      response.batch_size = group.size();
     }
   }
 }
 
-void TuningService::run_single(Job job, PredictScratch& scratch) {
+void TuningService::run_single(Job job) {
   Response response;
   if (expired(job.request, now_tick())) {
     response.status = Status::kDeadlineExceeded;
-    finish(job, response);
-    return;
+  } else if (job.request.endpoint == Endpoint::kOptimize) {
+    response = optimize(job.request);
+  } else {
+    response = observe_window(job.request);
   }
+  finish(job, std::move(response));
+}
 
-  switch (job.request.endpoint) {
-    case Endpoint::kPredict: {
-      // Unreachable through worker_loop (predicts go through the batcher),
-      // but kept correct for direct use: a batch of one.
-      std::vector<Job> batch;
-      batch.push_back(std::move(job));
-      run_predict_batch(std::move(batch), scratch);
-      return;
-    }
-    case Endpoint::kOptimize: {
-      const auto snapshot = tenant_snapshot(job.request.tenant);
-      if (!snapshot || !snapshot->ensemble.trained() || !snapshot->space) {
-        response.status = Status::kNotReady;
-        break;
-      }
-      core::SurrogateFitness fitness(snapshot->ensemble, job.request.read_ratio);
-      const auto ga = opt::ga_optimize_cohort(*snapshot->space, std::ref(fitness), options_.ga);
-      response.status = Status::kOk;
-      response.model_version = snapshot->version;
-      response.config = engine::Config::from_vector(snapshot->key_params, ga.best_point);
-      response.predicted_throughput = ga.best_fitness;
-      response.surrogate_evaluations = ga.evaluations;
-      break;
-    }
-    case Endpoint::kObserveWindow: {
-      auto* tuner = tenant_tuner(job.request.tenant);
-      if (tuner == nullptr) {
-        response.status = Status::kNotReady;
-        break;
-      }
-      // The tuner is internally synchronized. With the async-optimize hook
-      // attached (attach_tuner), a cache miss returns immediately with a
-      // stale-marked decision and the bucket lands on the RetrainWorker; the
-      // publish hook republishes the tuned config as a new snapshot version
-      // once the background GA completes.
-      const auto decision = tuner->on_window(job.request.read_ratio);
-      response.status = Status::kOk;
-      response.model_version = tenant_model_version(job.request.tenant);
-      response.config = decision.config;
-      response.reconfigured = decision.reconfigured;
-      response.stale = decision.stale;
-      response.predicted_throughput = decision.predicted_throughput;
-      if (decision.stale) stats_.record_stale(Endpoint::kObserveWindow);
-      break;
-    }
+Response TuningService::optimize(const Request& request) const {
+  Response response;
+  const auto snapshot = tenant_snapshot(request.tenant);
+  if (!snapshot || !snapshot->ensemble.trained() || !snapshot->space) {
+    response.status = Status::kNotReady;
+    return response;
   }
-  finish(job, response);
+  core::SurrogateFitness fitness(snapshot->ensemble, request.read_ratio);
+  const auto ga = opt::ga_optimize_cohort(*snapshot->space, std::ref(fitness), options_.ga);
+  response.status = Status::kOk;
+  response.model_version = snapshot->version;
+  response.config = engine::Config::from_vector(snapshot->key_params, ga.best_point);
+  response.predicted_throughput = ga.best_fitness;
+  response.surrogate_evaluations = ga.evaluations;
+  return response;
+}
+
+Response TuningService::observe_window(const Request& request) {
+  Response response;
+  auto* tuner = tenant_tuner(request.tenant);
+  if (tuner == nullptr) {
+    response.status = Status::kNotReady;
+    return response;
+  }
+  // The tuner is internally synchronized. With the async-optimize hook
+  // attached (attach_tuner), a cache miss returns immediately with a
+  // stale-marked decision and the bucket lands on the RetrainWorker; the
+  // publish hook republishes the tuned config as a new snapshot version
+  // once the background GA completes.
+  const auto decision = tuner->on_window(request.read_ratio);
+  response.status = Status::kOk;
+  response.model_version = tenant_model_version(request.tenant);
+  response.config = decision.config;
+  response.reconfigured = decision.reconfigured;
+  response.stale = decision.stale;
+  response.predicted_throughput = decision.predicted_throughput;
+  if (decision.stale) stats_.record_stale(Endpoint::kObserveWindow);
+  return response;
 }
 
 }  // namespace rafiki::serve

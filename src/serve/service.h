@@ -1,15 +1,20 @@
 // The concurrent tuning service (the "middleware" in the paper's title, as a
 // long-running process): N worker threads answer Predict / Optimize /
 // ObserveWindow requests from a bounded MPMC queue against the currently
-// published model snapshot.
+// published model snapshot, and a caller with a whole round of Predicts in
+// hand (the net::Server's poll round) gets them answered on its own thread.
 //
 //   * Admission control — a full queue rejects with Overloaded immediately;
 //     producers never block past capacity. Each request carries a deadline
 //     in injected-clock ticks, checked before execution.
-//   * Micro-batching — a worker that pops a Predict drains the Predicts
-//     queued behind it (up to ServiceOptions::max_batch, stopping as soon as
-//     the queue is empty) into a single batched ensemble evaluation
-//     (SurrogateEnsemble::predict_batch).
+//   * One Predict kernel, two callers — forward_rows triages deadlines,
+//     groups the rows by tenant, and runs one batched ensemble evaluation
+//     (SurrogateEnsemble::predict_batch_with_uncertainty) per group.
+//     answer_predicts runs it on the caller's thread with no queue hand-off;
+//     the worker micro-batcher runs it for in-process try_submit callers: a
+//     worker that pops a Predict drains the Predicts queued behind it (up to
+//     ServiceOptions::max_batch, stopping as soon as the queue is empty)
+//     into one call.
 //   * Versioned snapshots — publish() atomically swaps the model behind an
 //     atomic shared_ptr; in-flight requests keep the version they started
 //     with. A background retrain republishes with zero downtime.
@@ -29,6 +34,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -67,10 +73,11 @@ struct ServiceOptions {
   std::vector<int> cpu_affinity;
   /// Bounded request queue capacity; the admission-control limit.
   std::size_t queue_capacity = 256;
-  /// Micro-batcher: a Predict batch runs at this many coalesced requests, or
-  /// as soon as the queue momentarily empties. Under load the queue is never
-  /// empty and batches fill to max_batch; a lone client gets queue-depth-1
-  /// latency, never a wait for co-arrivals.
+  /// Worker micro-batcher: a queued Predict batch runs at this many
+  /// coalesced requests, or as soon as the queue momentarily empties. Under
+  /// load the queue is never empty and batches fill to max_batch; a lone
+  /// client gets queue-depth-1 latency, never a wait for co-arrivals.
+  /// answer_predicts rounds are sized by their caller instead.
   std::size_t max_batch = 32;
   /// Virtual clock for request deadlines. Deterministic by construction: the
   /// default never advances, so deadlines never expire unless a clock is
@@ -135,6 +142,16 @@ class TuningService : public TuningBackend {
   /// the common no-spill case).
   Status offer(const Request& request, ResponseCallback& done);
 
+  /// See TuningBackend::answer_predicts: answer_rows over every request.
+  void answer_predicts(std::span<const Request> requests, std::span<Response> responses,
+                       PredictScratch& scratch) override;
+  /// Answers the requests named by `rows` (indices into `requests` and
+  /// `responses`; reordered in place, never narrowed) on the calling thread
+  /// and credits them to this service's stats — the router's per-shard
+  /// entry. After stop() every row answers ShuttingDown.
+  void answer_rows(std::span<const Request> requests, std::span<Response> responses,
+                   std::span<std::uint32_t> rows, PredictScratch& scratch);
+
   /// Spawns the worker pool (idempotent). Requests submitted before start()
   /// wait in the queue.
   void start() override;
@@ -180,18 +197,28 @@ class TuningService : public TuningBackend {
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  /// Per-worker buffers for Predict micro-batches: the batch's feature
-  /// rows go straight into `rows`, and the ensemble scores them through
-  /// `workspace`, so a warmed-up worker allocates nothing per forward.
-  struct PredictScratch {
-    ml::Matrix rows;
-    ml::SurrogateEnsemble::BatchWorkspace workspace;
-    std::vector<ml::SurrogateEnsemble::Prediction> predictions;
+  /// Per-worker buffers, reused across micro-batches: the popped jobs,
+  /// their requests laid out for the kernel, and its answers.
+  struct WorkerScratch {
+    PredictScratch predict;
+    std::vector<Job> batch;
+    std::vector<Request> requests;
+    std::vector<Response> responses;
   };
 
   void worker_loop(std::size_t worker_index);
-  void run_single(Job job, PredictScratch& scratch);
-  void run_predict_batch(std::vector<Job> batch, PredictScratch& scratch);
+  /// Optimize / ObserveWindow (every Predict goes through the batcher).
+  void run_single(Job job);
+  /// Runs scratch.batch through forward_rows and completes every job.
+  void run_predict_batch(WorkerScratch& scratch);
+  /// The Predict kernel: answers every request named by `rows` (reordered
+  /// in place) — deadline triage, then one batched forward per tenant
+  /// group against that tenant's snapshot. Records the forward's batch size
+  /// only; completion stats are the caller's.
+  void forward_rows(std::span<const Request> requests, std::span<Response> responses,
+                    std::span<std::uint32_t> rows, PredictScratch& scratch);
+  Response optimize(const Request& request) const;
+  Response observe_window(const Request& request);
   void finish(Job& job, Response response);
   Tick now_tick() const { return options_.clock_fn ? options_.clock_fn() : 0; }
   bool expired(const Request& request, Tick now) const {

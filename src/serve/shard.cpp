@@ -185,6 +185,38 @@ Status ShardedTuningService::try_submit(Request request, ResponseCallback done) 
   return verdict;
 }
 
+void ShardedTuningService::answer_predicts(std::span<const Request> requests,
+                                           std::span<Response> responses,
+                                           PredictScratch& scratch) {
+  answer_routed(requests, responses, scratch.every_row(requests.size()), scratch);
+}
+
+void ShardedTuningService::answer_routed(std::span<const Request> requests,
+                                         std::span<Response> responses,
+                                         std::span<std::uint32_t> rows,
+                                         PredictScratch& scratch) {
+  // Each row counts toward its route slot (the rebalance input) exactly as
+  // a try_submit would, and its home shard answers and records it, so the
+  // per-shard load rows keep their meaning. The route is read once per row.
+  auto& home = scratch.keys;
+  home.resize(requests.size());
+  for (const std::uint32_t r : rows) {
+    const std::size_t slot = route_slot(requests[r].tenant, band_of(requests[r].read_ratio));
+    slot_hits_[slot].fetch_add(1, kRelaxed);
+    home[r] = static_cast<std::uint32_t>(route_[slot].load(kRelaxed) % shards_.size());
+  }
+  std::sort(rows.begin(), rows.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return home[a] != home[b] ? home[a] < home[b] : a < b;
+  });
+  for (std::size_t begin = 0; begin < rows.size();) {
+    const std::uint32_t shard = home[rows[begin]];
+    std::size_t end = begin + 1;
+    while (end < rows.size() && home[rows[end]] == shard) ++end;
+    shards_[shard]->answer_rows(requests, responses, rows.subspan(begin, end - begin), scratch);
+    begin = end;
+  }
+}
+
 void ShardedTuningService::start() {
   for (auto& shard : shards_) shard->start();
   if (options_.rebalance_interval.count() > 0) {

@@ -43,9 +43,14 @@
 //     merged value (and its table) has the exact layout of the unsharded
 //     service's, plus one load row per shard.
 //
-// tenant::TenantFleet derives from this router and overrides only
-// try_submit (tenant admission in front of routing); everything else here
-// serves a fleet unchanged.
+//   * Inline Predict rounds — answer_predicts routes each request of a
+//     caller's round to its home shard (counting the same slot hits) and
+//     lets that shard answer its share on the caller's thread, one forward
+//     per (shard, tenant). Nothing queues, so nothing spills.
+//
+// tenant::TenantFleet derives from this router and overrides only the two
+// entry points, try_submit and answer_predicts (tenant admission in front
+// of routing); everything else here serves a fleet unchanged.
 #pragma once
 
 #include <array>
@@ -53,6 +58,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -154,6 +160,9 @@ class ShardedTuningService : public TuningBackend {
                      double predicted);
 
   Status try_submit(Request request, ResponseCallback done) override;
+  /// Every request goes to its home shard's answer_rows (see file comment).
+  void answer_predicts(std::span<const Request> requests, std::span<Response> responses,
+                       PredictScratch& scratch) override;
 
   void start() override;
   void stop() override;
@@ -203,6 +212,12 @@ class ShardedTuningService : public TuningBackend {
   }
 
   const ShardOptions& options() const noexcept { return options_; }
+
+ protected:
+  /// answer_predicts over the requests named by `rows` (reordered in place,
+  /// never narrowed) — the fleet's entry after its admission pass.
+  void answer_routed(std::span<const Request> requests, std::span<Response> responses,
+                     std::span<std::uint32_t> rows, PredictScratch& scratch);
 
  private:
   void rebalance_loop();

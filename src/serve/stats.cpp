@@ -67,7 +67,7 @@ ServiceStats::AtomicHist::AtomicHist(double lo_in, double hi_in, std::size_t n)
       width((hi_in - lo_in) / static_cast<double>(n ? n : 1)),
       bins(n ? n : 1) {}
 
-void ServiceStats::AtomicHist::add(double x) noexcept {
+void ServiceStats::AtomicHist::add(double x, std::uint64_t count) noexcept {
   // Same clamping rule as util/Histogram::add so the merged view is
   // bin-for-bin identical to what the old single histogram recorded.
   std::size_t bin;
@@ -79,7 +79,7 @@ void ServiceStats::AtomicHist::add(double x) noexcept {
     bin = static_cast<std::size_t>((x - lo) / width);
     bin = std::min(bin, bins.size() - 1);
   }
-  bins[bin].fetch_add(1, kRelaxed);
+  bins[bin].fetch_add(count, kRelaxed);
 }
 
 void ServiceStats::AtomicHist::merge_into(Histogram& out) const noexcept {
@@ -130,8 +130,19 @@ void ServiceStats::record_reject(Endpoint endpoint, Status reason) {
 }
 
 void ServiceStats::record_done(Endpoint endpoint, Status status, double latency_us) {
+  add_completions(endpoint_stripe(endpoint), status, 1, latency_us);
+}
+
+void ServiceStats::record_answered(Endpoint endpoint, Status status, std::size_t count,
+                                   double latency_us) {
   auto& per = endpoint_stripe(endpoint);
-  per.counters[kIdxCompleted].fetch_add(1, kRelaxed);
+  per.counters[kIdxAccepted].fetch_add(count, kRelaxed);
+  add_completions(per, status, count, latency_us);
+}
+
+void ServiceStats::add_completions(EndpointStripe& per, Status status, std::uint64_t count,
+                                   double latency_us) noexcept {
+  per.counters[kIdxCompleted].fetch_add(count, kRelaxed);
   std::size_t idx = kIdxFailedOverload;
   switch (status) {
     case Status::kOk:
@@ -153,9 +164,9 @@ void ServiceStats::record_done(Endpoint endpoint, Status status, double latency_
       idx = kIdxFailedOverload;
       break;
   }
-  per.counters[idx].fetch_add(1, kRelaxed);
-  per.latency.add(latency_us);
-  per.latency_stats.add(latency_us);
+  per.counters[idx].fetch_add(count, kRelaxed);
+  per.latency.add(latency_us, count);
+  per.latency_stats.add(latency_us, count);
 }
 
 void ServiceStats::record_stale(Endpoint endpoint) {

@@ -161,7 +161,13 @@ class ServiceStats {
   /// A request ran (or was triaged) by a worker; latency is queue + service
   /// time in microseconds.
   void record_done(Endpoint endpoint, Status status, double latency_us);
-  /// One Predict micro-batch was executed with this many coalesced requests.
+  /// `count` requests answered on the caller's thread, never queued
+  /// (TuningBackend::answer_predicts): each counts as accepted and completed
+  /// with `status`, all with the round's latency. No queue-depth sample.
+  void record_answered(Endpoint endpoint, Status status, std::size_t count,
+                       double latency_us);
+  /// One batched Predict forward ran over this many rows (a worker
+  /// micro-batch, or one tenant group of an answer_predicts round).
   void record_batch(std::size_t batch_size);
   /// A stale-marked response was served on this endpoint.
   void record_stale(Endpoint endpoint);
@@ -227,9 +233,10 @@ class ServiceStats {
     std::atomic<std::uint64_t> n{0};
     std::atomic<double> sum{0.0};
     std::atomic<double> max{0.0};
-    void add(double x) noexcept {
-      n.fetch_add(1, std::memory_order_relaxed);
-      sum.fetch_add(x, std::memory_order_relaxed);
+    /// `count` samples of value x.
+    void add(double x, std::uint64_t count = 1) noexcept {
+      n.fetch_add(count, std::memory_order_relaxed);
+      sum.fetch_add(x * static_cast<double>(count), std::memory_order_relaxed);
       double seen = max.load(std::memory_order_relaxed);
       while (x > seen &&
              !max.compare_exchange_weak(seen, x, std::memory_order_relaxed)) {
@@ -241,7 +248,7 @@ class ServiceStats {
   /// util/Histogram (uniform [lo, hi), clamped edges).
   struct AtomicHist {
     AtomicHist(double lo, double hi, std::size_t bins);
-    void add(double x) noexcept;
+    void add(double x, std::uint64_t count = 1) noexcept;
     /// Folds this stripe's bins into a plain histogram (relaxed loads).
     void merge_into(Histogram& out) const noexcept;
     double lo;
@@ -295,12 +302,15 @@ class ServiceStats {
   struct alignas(64) Stripe {
     Stripe();
     std::vector<std::unique_ptr<EndpointStripe>> per_endpoint;  // kEndpointCount
-    /// One add per Predict micro-batch: n counts batches, sum their rows.
+    /// One add per batched Predict forward: n counts batches, sum their rows.
     AtomicAccum batch_stats;
     AtomicAccum depth_stats;
     std::array<std::atomic<std::uint64_t>, kWireCount> wire{};
   };
 
+  /// Counts `count` completions with `status` and latency into one stripe.
+  static void add_completions(EndpointStripe& per, Status status, std::uint64_t count,
+                              double latency_us) noexcept;
   Stripe& stripe() noexcept;
   EndpointStripe& endpoint_stripe(Endpoint endpoint) noexcept {
     return *stripe().per_endpoint[static_cast<std::size_t>(endpoint)];
@@ -327,7 +337,7 @@ struct ShardLoad {
   std::size_t workers = 0;  ///< planned pool size, after any router budgeting
   /// CPU time of exited workers; exact only after stop() joins the pool.
   std::uint64_t worker_cpu_us = 0;
-  double mean_queue_depth = 0.0;  ///< sampled at each admission
+  double mean_queue_depth = 0.0;  ///< sampled at each queued admission
   double max_queue_depth = 0.0;
   std::size_t retrain_depth = 0;  ///< retrain tasks queued at read time
 };
@@ -346,7 +356,7 @@ struct Telemetry {
   std::vector<ServiceStats::EndpointAggregate> endpoints;
   ServiceStats::RetrainCounters retrain;
   double retrain_latency_sum_us = 0.0;  ///< over retrain.runs tasks
-  std::uint64_t batch_rows = 0;  ///< Predict rows run through micro-batches
+  std::uint64_t batch_rows = 0;  ///< Predict rows run through batched forwards
   std::uint64_t batches = 0;
   ServiceStats::FleetCounters fleet;
   ServiceStats::WireCounters wire;
@@ -358,7 +368,7 @@ struct Telemetry {
     return endpoints[static_cast<std::size_t>(endpoint)].counters;
   }
   double latency_quantile(Endpoint endpoint, double q) const;
-  /// Rows per micro-batch over every shard (total rows / total batches).
+  /// Rows per batched forward over every shard (total rows / total batches).
   double mean_batch_size() const noexcept;
   double mean_retrain_latency_us() const noexcept;
   /// The per-endpoint table, same layout for every backend.

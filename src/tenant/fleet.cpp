@@ -31,9 +31,7 @@ void TenantFleet::attach_rafiki(const core::Rafiki& rafiki,
   }
 }
 
-serve::Status TenantFleet::try_submit(serve::Request request,
-                                      serve::ResponseCallback done) {
-  TenantState* state = registry_.find(request.tenant);
+serve::Status TenantFleet::admit(TenantState* state) {
   serve::ServiceStats& fleet_stats = stats();
   if (state == nullptr) {
     // A tenant id outside the fleet is a client-side configuration error,
@@ -55,6 +53,14 @@ serve::Status TenantFleet::try_submit(serve::Request request,
     return serve::Status::kOverloaded;
   }
   fleet_stats.record_tenant_admit();
+  return serve::Status::kOk;
+}
+
+serve::Status TenantFleet::try_submit(serve::Request request,
+                                      serve::ResponseCallback done) {
+  TenantState* state = registry_.find(request.tenant);
+  const serve::Status verdict = admit(state);
+  if (verdict != serve::Status::kOk) return verdict;
   // Wrap the completion to release the in-flight slot exactly once. The
   // destructor drains the router before the registry dies, so `state` stays
   // valid for as long as any backend callback can fire.
@@ -70,6 +76,26 @@ serve::Status TenantFleet::try_submit(serve::Request request,
     state->quota.end_request();
   }
   return admitted;
+}
+
+void TenantFleet::answer_predicts(std::span<const serve::Request> requests,
+                                  std::span<serve::Response> responses,
+                                  serve::PredictScratch& scratch) {
+  // The whole round is admitted before any slot is released, so the cap
+  // sees the round's concurrency.
+  auto& admitted = scratch.order;
+  admitted.clear();
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    const serve::Status verdict = admit(registry_.find(requests[r].tenant));
+    if (verdict == serve::Status::kOk) {
+      admitted.push_back(static_cast<std::uint32_t>(r));
+    } else {
+      responses[r] = serve::Response{};
+      responses[r].status = verdict;
+    }
+  }
+  answer_routed(requests, responses, admitted, scratch);
+  for (const std::uint32_t r : admitted) registry_.find(requests[r].tenant)->quota.end_request();
 }
 
 }  // namespace rafiki::tenant

@@ -3,7 +3,8 @@
 // admission quotas, and telemetry-driven rebalance.
 //
 //   client ──RKF2 frame (tenant t)──▶ net::Server
-//                                        │ try_submit(request{tenant=t})
+//                                        │ try_submit(request{tenant=t}), or
+//                                        │ answer_predicts(round) for Predicts
 //                                        ▼
 //                       TenantFleet::try_submit ── admission ──▶ kNotReady
 //                                        │   (registry: quota,    (unknown)
@@ -20,11 +21,11 @@
 //
 // The fleet IS the sharded router, configured with one snapshot slot and
 // version counter per tenant: it derives from ShardedTuningService and
-// overrides only try_submit, so publish, routing, lifecycle and telemetry
-// are the router's own code. Every tenant's tuner reads one TuneMemo over
-// the shared model, so a (model, bucket) pair costs one GA run and one
-// retrain task fleet-wide, and its result is republished into every
-// tenant's slot. Tenant 0 is the default namespace, so a fleet of one is
+// overrides only its two entry points, try_submit and answer_predicts, so
+// publish, routing, lifecycle and telemetry are the router's own code.
+// Every tenant's tuner reads one TuneMemo over the shared model, so a
+// (model, bucket) pair costs one GA run and one retrain task fleet-wide,
+// and its result is republished into every tenant's slot. Tenant 0 is the default namespace, so a fleet of one is
 // bit-for-bit the original single-tenant stack.
 //
 // Admission order is deliberate: registry lookup (unknown tenant -> the
@@ -32,13 +33,15 @@
 // the token bucket — the cheap constant-time checks first, the clock-reading
 // bucket last, and only for requests that will otherwise be admitted. The
 // response callback is wrapped to release the in-flight slot exactly once,
-// whether the backend answers from a worker or fails admission downstream.
+// whether the backend answers from a worker or fails admission downstream;
+// an answer_predicts round releases its admitted slots after its forward.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "core/online.h"
 #include "serve/shard.h"
@@ -87,6 +90,13 @@ class TenantFleet : public serve::ShardedTuningService {
   /// error-free response, so unknown tenants get a clean wire answer).
   serve::Status try_submit(serve::Request request,
                            serve::ResponseCallback done) override;
+  /// Fleet admission for every request of the round first, then the router
+  /// over the admitted ones; their in-flight slots are released after the
+  /// forward. A burst past a tenant's in-flight cap that arrives in one
+  /// round is refused for the excess, exactly as if it had queued.
+  void answer_predicts(std::span<const serve::Request> requests,
+                       std::span<serve::Response> responses,
+                       serve::PredictScratch& scratch) override;
 
   /// Fleet admission fairness counters (admitted / quota_rejected /
   /// inflight_rejected / unknown_tenant), recorded in the router stats.
@@ -104,6 +114,10 @@ class TenantFleet : public serve::ShardedTuningService {
 
  private:
   static serve::ShardOptions shard_options(const FleetOptions& options);
+  /// Registry lookup (null: unknown tenant), in-flight cap, then token
+  /// bucket, each rejection counted. kOk claims an in-flight slot the caller
+  /// must release with end_request().
+  serve::Status admit(TenantState* state);
 
   TenantRegistry registry_;
 };

@@ -10,6 +10,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -31,6 +32,7 @@
 #include "net/wire.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
+#include "tenant/fleet.h"
 
 namespace rafiki::net {
 namespace {
@@ -65,6 +67,62 @@ class NetE2E : public ::testing::Test {
     request.endpoint = serve::Endpoint::kPredict;
     request.read_ratio = read_ratio;
     return request;
+  }
+
+  /// A blocking loopback socket with no client library in between, so a
+  /// test controls exactly which frames share one send(). Reads time out
+  /// after 5 s instead of hanging on a lost answer.
+  static int connect_raw(std::uint16_t port) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) return -1;
+    timeval timeout{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+      ::close(fd);
+      return -1;
+    }
+    return fd;
+  }
+
+  /// Encodes requests[i] with request id i + 1 and sends them all in one
+  /// send() call.
+  static bool send_round(int fd, const std::vector<serve::Request>& requests) {
+    std::vector<std::uint8_t> bytes;
+    for (std::size_t i = 0; i < requests.size(); ++i) encode_request(i + 1, requests[i], bytes);
+    return ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+
+  /// Reads until `count` response frames arrived (fewer on timeout or
+  /// close); result[id] holds the frame answering request id, id 0 unused.
+  static std::vector<Frame> read_answers(int fd, std::size_t count) {
+    std::vector<Frame> answers(count + 1);
+    std::vector<std::uint8_t> inbound;
+    std::uint8_t chunk[4096];
+    std::size_t got = 0;
+    while (got < count) {
+      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+      if (n <= 0) break;
+      inbound.insert(inbound.end(), chunk, chunk + n);
+      std::size_t offset = 0;
+      Frame frame;
+      std::size_t consumed = 0;
+      while (decode_frame(inbound.data() + offset, inbound.size() - offset, kDefaultMaxPayload,
+                          frame, consumed) == DecodeStatus::kOk) {
+        offset += consumed;
+        if (frame.type == FrameType::kResponse && frame.request_id >= 1 &&
+            frame.request_id <= count) {
+          answers[frame.request_id] = frame;
+          ++got;
+        }
+      }
+      inbound.erase(inbound.begin(), inbound.begin() + static_cast<std::ptrdiff_t>(offset));
+    }
+    return answers;
   }
 
   /// Polls a condition without reading any clock: bounded iteration count
@@ -391,7 +449,12 @@ TEST_F(NetE2E, PipelineLimitMapsToTypedOverloadedResponse) {
   Client client;
   ASSERT_EQ(client.connect("127.0.0.1", server.port()), NetStatus::kOk);
 
-  const auto first = client.send(predict_request(0.3));
+  // An Optimize parks on the (absent) workers; a Predict would be answered
+  // by the IO loop itself.
+  serve::Request optimize;
+  optimize.endpoint = serve::Endpoint::kOptimize;
+  optimize.read_ratio = 0.3;
+  const auto first = client.send(optimize);
   ASSERT_NE(first, 0u);
   const auto second = client.send(predict_request(0.4));
   ASSERT_NE(second, 0u);
@@ -409,6 +472,212 @@ TEST_F(NetE2E, PipelineLimitMapsToTypedOverloadedResponse) {
   EXPECT_EQ(drained.response.status, serve::Status::kShuttingDown);
 
   server.stop();
+}
+
+// A Predict round is answered by the IO loop itself: with no worker at
+// all, 32 Predicts sent in one send() come back Ok, each bit-equal to the
+// scalar forward on the published snapshot.
+TEST_F(NetE2E, PredictRoundIsAnsweredOnTheIoLoopWithoutWorkers) {
+  constexpr std::size_t kRound = 32;
+  serve::ServiceOptions options;
+  options.workers = 0;
+  serve::TuningService service(options);
+  service.publish(serve::make_snapshot(*rafiki_));
+  service.start();
+  Server server(service);
+  ASSERT_TRUE(server.start()) << server.last_error();
+
+  std::vector<serve::Request> round;
+  for (std::size_t i = 0; i < kRound; ++i) {
+    auto request = predict_request(0.05 + 0.03 * static_cast<double>(i));
+    request.config = engine::Config::defaults().with(engine::key_params()[i % 5],
+                                                     static_cast<double>(i % 3));
+    round.push_back(request);
+  }
+  const int fd = connect_raw(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_round(fd, round));
+  const auto answers = read_answers(fd, kRound);
+  ::close(fd);
+
+  const auto snapshot = service.snapshot();
+  for (std::size_t i = 0; i < kRound; ++i) {
+    const Frame& frame = answers[i + 1];
+    ASSERT_EQ(frame.type, FrameType::kResponse) << "request " << i + 1 << " unanswered";
+    ASSERT_EQ(frame.response.status, serve::Status::kOk);
+    EXPECT_EQ(frame.response.model_version, 1u);
+    const auto expected = snapshot->ensemble.predict_with_uncertainty(
+        snapshot->feature_row(round[i].read_ratio, round[i].config));
+    EXPECT_EQ(frame.response.mean, expected.mean) << "request " << i + 1;
+    EXPECT_EQ(frame.response.stddev, expected.stddev) << "request " << i + 1;
+  }
+  server.stop();
+  service.stop();
+  const auto predict = service.stats().counters(serve::Endpoint::kPredict);
+  EXPECT_EQ(predict.accepted, kRound);
+  EXPECT_EQ(predict.ok, kRound);
+  EXPECT_EQ(service.stats().wire_counters().frames_out, kRound);
+}
+
+// The inline round keeps the typed verdicts: an expired deadline answers
+// DeadlineExceeded next to a live request, and a fleet answers a tenant id
+// outside it NotReady.
+TEST_F(NetE2E, PredictRoundTriagesDeadlinesAndUnknownTenants) {
+  {
+    serve::ServiceOptions options;
+    options.workers = 0;
+    options.clock_fn = [] { return serve::Tick{100}; };
+    serve::TuningService service(options);
+    service.publish(serve::make_snapshot(*rafiki_));
+    service.start();
+    Server server(service);
+    ASSERT_TRUE(server.start()) << server.last_error();
+
+    auto expired = predict_request(0.3);
+    expired.deadline = 50;
+    auto live = predict_request(0.4);
+    live.deadline = 500;
+    const int fd = connect_raw(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(send_round(fd, {expired, live}));
+    const auto answers = read_answers(fd, 2);
+    ::close(fd);
+    EXPECT_EQ(answers[1].response.status, serve::Status::kDeadlineExceeded);
+    EXPECT_EQ(answers[2].response.status, serve::Status::kOk);
+    server.stop();
+    service.stop();
+    EXPECT_EQ(service.stats().counters(serve::Endpoint::kPredict).rejected_deadline, 1u);
+  }
+  {
+    tenant::FleetOptions options;
+    options.tenants = 2;
+    options.shard.shards = 2;
+    options.shard.service.workers = 0;
+    tenant::TenantFleet fleet(options);
+    fleet.publish(serve::make_snapshot(*rafiki_));
+    fleet.start();
+    Server server(fleet);
+    ASSERT_TRUE(server.start()) << server.last_error();
+
+    auto known = predict_request(0.3);
+    known.tenant = 1;
+    auto unknown = predict_request(0.3);
+    unknown.tenant = 7;
+    const int fd = connect_raw(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(send_round(fd, {known, unknown}));
+    const auto answers = read_answers(fd, 2);
+    ::close(fd);
+    EXPECT_EQ(answers[1].response.status, serve::Status::kOk);
+    EXPECT_EQ(answers[1].tenant, 1u);
+    EXPECT_EQ(answers[2].response.status, serve::Status::kNotReady);
+    EXPECT_EQ(answers[2].tenant, 7u);
+    server.stop();
+    fleet.stop();
+    EXPECT_EQ(fleet.fleet_counters().unknown_tenant, 1u);
+  }
+}
+
+// Fleet admission runs over the whole round before any slot is released, so
+// a burst past a tenant's in-flight cap that arrives in one send() is still
+// refused for the excess — and every admitted slot is released afterwards.
+TEST_F(NetE2E, PredictRoundHonoursTheTenantInFlightCap) {
+  constexpr std::size_t kBurst = 32;
+  tenant::FleetOptions options;
+  options.tenants = 2;
+  options.shard.shards = 2;
+  options.shard.service.workers = 0;
+  options.quota_for = [](serve::TenantId id) {
+    tenant::QuotaOptions quota;
+    if (id == 1) quota.max_in_flight = 4;
+    return quota;
+  };
+  tenant::TenantFleet fleet(options);
+  fleet.publish(serve::make_snapshot(*rafiki_));
+  fleet.start();
+  Server server(fleet);
+  ASSERT_TRUE(server.start()) << server.last_error();
+
+  std::vector<serve::Request> burst;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    auto request = predict_request(0.1 + 0.025 * static_cast<double>(i));
+    request.tenant = 1;
+    burst.push_back(request);
+  }
+  const int fd = connect_raw(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_round(fd, burst));
+  const auto answers = read_answers(fd, kBurst);
+  ::close(fd);
+
+  std::uint64_t ok = 0;
+  std::uint64_t overloaded = 0;
+  for (std::size_t id = 1; id <= kBurst; ++id) {
+    ASSERT_EQ(answers[id].type, FrameType::kResponse) << "request " << id << " unanswered";
+    if (answers[id].response.status == serve::Status::kOk) ++ok;
+    if (answers[id].response.status == serve::Status::kOverloaded) ++overloaded;
+  }
+  EXPECT_GE(ok, 1u);
+  EXPECT_GE(overloaded, 1u);
+  EXPECT_EQ(ok + overloaded, kBurst);
+  const auto counters = fleet.fleet_counters();
+  EXPECT_EQ(counters.inflight_rejected + counters.quota_rejected, overloaded);
+  // The slots were released after the forward, before the answers went out.
+  EXPECT_EQ(fleet.registry().find(1)->quota.in_flight(), 0u);
+
+  ClientOptions client_options;
+  client_options.tenant = 1;
+  Client client(client_options);
+  ASSERT_EQ(client.connect("127.0.0.1", server.port()), NetStatus::kOk);
+  EXPECT_TRUE(client.predict(0.5).ok());
+
+  server.stop();
+  fleet.stop();
+}
+
+// Only Predicts are answered on the IO loop: an Optimize sent in the same
+// send() as a Predict round still runs on a worker and answers exactly what
+// the in-process path answers.
+TEST_F(NetE2E, OptimizeNextToAPredictRoundStillRunsOnAWorker) {
+  serve::ServiceOptions options;
+  options.workers = 1;
+  options.ga.population = 10;
+  options.ga.generations = 5;
+  serve::TuningService service(options);
+  service.publish(serve::make_snapshot(*rafiki_));
+  service.start();
+  Server server(service);
+  ASSERT_TRUE(server.start()) << server.last_error();
+
+  serve::Request optimize;
+  optimize.endpoint = serve::Endpoint::kOptimize;
+  optimize.read_ratio = 0.4;
+  std::vector<serve::Request> round = {predict_request(0.2), predict_request(0.3), optimize,
+                                       predict_request(0.6)};
+  const int fd = connect_raw(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_round(fd, round));
+  const auto answers = read_answers(fd, round.size());
+  ::close(fd);
+
+  const auto direct = service.call(optimize);
+  ASSERT_TRUE(direct.ok());
+  const Frame& wire = answers[3];
+  ASSERT_EQ(wire.type, FrameType::kResponse);
+  EXPECT_EQ(wire.endpoint, serve::Endpoint::kOptimize);
+  ASSERT_EQ(wire.response.status, serve::Status::kOk);
+  EXPECT_EQ(wire.response.config, direct.config);
+  EXPECT_EQ(wire.response.predicted_throughput, direct.predicted_throughput);
+  EXPECT_EQ(wire.response.surrogate_evaluations, direct.surrogate_evaluations);
+  for (const std::size_t id : {1u, 2u, 4u}) {
+    EXPECT_EQ(answers[id].response.status, serve::Status::kOk) << "request " << id;
+  }
+  server.stop();
+  service.stop();
+  // Both Optimizes (wire and in-process) went through the queue.
+  const auto counters = service.stats().counters(serve::Endpoint::kOptimize);
+  EXPECT_EQ(counters.accepted, 2u);
+  EXPECT_EQ(counters.ok, 2u);
 }
 
 TEST_F(NetE2E, GarbageBytesGetOneErrorFrameThenClose) {

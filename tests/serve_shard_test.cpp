@@ -303,6 +303,53 @@ TEST_F(ServeShard, ShardedPredictMatchesUnshardedBitForBit) {
   EXPECT_EQ(counter_columns(routed.table()), counter_columns(single.table()));
 }
 
+// An answer_predicts round runs each request on its home shard with no
+// worker: answers match the scalar forward bit for bit, each shard's stats
+// and load row count exactly the rows routed to it, and the route-slot hits
+// feed rebalance_hottest as try_submit traffic does. After stop() the round
+// answers ShuttingDown.
+TEST_F(ServeShard, PredictRoundAnswersOnTheHomeShards) {
+  ShardOptions options;
+  options.shards = 2;
+  options.service.workers = 0;
+  ShardedTuningService service(options);
+  service.publish(make_snapshot(*rafiki_));
+  service.route_band(30, 0);
+  service.route_band(70, 1);
+
+  const auto config = engine::Config::defaults().with(engine::key_params()[1], 1.0);
+  const std::vector<Request> round = {predict_request(0.30, config), predict_request(0.70),
+                                      predict_request(0.30), predict_request(0.30, config),
+                                      predict_request(0.70, config)};
+  std::vector<Response> answers(round.size());
+  PredictScratch scratch;
+  service.answer_predicts(round, answers, scratch);
+  for (std::size_t i = 0; i < round.size(); ++i) {
+    ASSERT_EQ(answers[i].status, Status::kOk) << i;
+    EXPECT_EQ(answers[i].mean, rafiki_->predict(round[i].read_ratio, round[i].config)) << i;
+    EXPECT_EQ(answers[i].model_version, 1u);
+  }
+  EXPECT_EQ(answers[0].batch_size, 3u);  // the three rr 0.30 rows, one forward
+  EXPECT_EQ(answers[1].batch_size, 2u);
+  EXPECT_EQ(service.shard(0).stats().counters(Endpoint::kPredict).ok, 3u);
+  EXPECT_EQ(service.shard(1).stats().counters(Endpoint::kPredict).ok, 2u);
+  const Telemetry telemetry = service.telemetry();
+  EXPECT_EQ(telemetry.shards[0].predict_completed, 3u);
+  EXPECT_EQ(telemetry.shards[1].predict_completed, 2u);
+  EXPECT_EQ(telemetry.counters(Endpoint::kPredict).accepted, 5u);
+  EXPECT_EQ(telemetry.batches, 2u);
+  // The rows counted as route-slot hits: with both bands on shard 0, its
+  // hottest one (band 30, 3 hits of 5) migrates to the idle shard.
+  service.route_band(70, 0);
+  EXPECT_TRUE(service.rebalance_hottest());
+  EXPECT_EQ(service.shard_of_band(30), 1u);
+
+  service.stop();
+  service.answer_predicts(round, answers, scratch);
+  for (const Response& answer : answers) EXPECT_EQ(answer.status, Status::kShuttingDown);
+  EXPECT_EQ(service.telemetry().counters(Endpoint::kPredict).rejected_shutdown, 5u);
+}
+
 TEST(ShardWorkerBudget, ExplicitBudgetDividesDeterministically) {
   // budget/N each, +1 for the first budget%N shards: budget 6 over 4 shards
   // is {2, 2, 1, 1}, and the total is exactly the budget.

@@ -124,17 +124,9 @@ int main(int argc, char** argv) {
   }
   if (tenants == 0) tenants = 1;
 
-  core::RafikiOptions options;
-  options.workload_grid = full ? std::vector<double>{0.1, 0.5, 0.9}
-                               : std::vector<double>{0.2, 0.8};
-  options.n_configs = full ? 10 : 5;
-  options.collect.measure.ops = full ? 20000 : 3000;
-  options.collect.measure.warmup_ops = full ? 2000 : 300;
-  options.ensemble.n_nets = full ? 10 : 3;
-  options.ensemble.train.max_epochs = full ? 100 : 30;
   std::printf("training the surrogate ensemble (%s profile)...\n",
               full ? "full" : "smoke");
-  core::Rafiki rafiki(options);
+  core::Rafiki rafiki(core::serving_options(!full));
   rafiki.set_key_params(engine::key_params());
   rafiki.train(rafiki.collect());
   if (!rafiki.trained()) {
