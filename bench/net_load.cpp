@@ -158,20 +158,24 @@ MixedResult mixed_load(const core::Rafiki& rafiki, std::size_t shards,
 
 DrainResult drain_under_fire(const core::Rafiki& rafiki, std::size_t shards,
                              std::size_t clients, std::size_t pipeline) {
+  // Frames each client sends once the drain has begun.
+  constexpr std::size_t kTail = 4;
   auto service = benchutil::start_backend(rafiki, shards);
   net::ServerOptions server_options;
-  server_options.max_pipeline = pipeline + 1;
+  server_options.max_pipeline = pipeline + kTail + 1;
   const auto server = benchutil::start_server(*service, server_options);
 
   // Every client fills a deep pipeline, then the server drains while all of
   // it is in flight. The contract under test: each submitted id comes back
   // as a typed response — kOk or kShuttingDown — and none are lost.
   //
-  // The contract covers frames the clients actually put on the wire: the
-  // stopper waits until every pipeline is fully sent (the frames then sit in
-  // socket or server buffers, far ahead of the 2 workers draining them) and
-  // the server has started decoding, then pulls the plug with the rest in
-  // flight.
+  // Every fourth frame of the pipeline is an Optimize, a GA run on a
+  // service worker, so work is parked on the workers when the drain starts
+  // (the IO loop answers Predicts inline, well before stop() lands). The
+  // stopper waits until every pipeline is fully sent and the server has
+  // started decoding, then pulls the plug. Each client then sends a short
+  // tail on its still-open connection: the draining server must answer
+  // those frames kShuttingDown, not drop them.
   std::vector<benchutil::BurstTally> tallies(clients);
   std::atomic<std::size_t> senders_done{0};
   std::thread stopper([&] {
@@ -191,10 +195,17 @@ DrainResult drain_under_fire(const core::Rafiki& rafiki, std::size_t shards,
       senders_done.fetch_add(1, std::memory_order_release);
       return;
     }
-    const auto ids = benchutil::send_burst(client, pipeline, [](std::size_t i) {
-      return serve::Request{.read_ratio = 0.3 + 0.02 * static_cast<double>(i % 20)};
+    auto ids = benchutil::send_burst(client, pipeline, [](std::size_t i) {
+      return serve::Request{
+          .endpoint = i % 4 == 0 ? serve::Endpoint::kOptimize : serve::Endpoint::kPredict,
+          .read_ratio = 0.3 + 0.02 * static_cast<double>(i % 20)};
     }, tallies[c]);
     senders_done.fetch_add(1, std::memory_order_release);
+    while (server->running()) std::this_thread::sleep_for(std::chrono::microseconds(100));
+    const auto tail = benchutil::send_burst(client, kTail, [](std::size_t) {
+      return serve::Request{.read_ratio = 0.5};
+    }, tallies[c]);
+    ids.insert(ids.end(), tail.begin(), tail.end());
     benchutil::wait_burst(client, ids, tallies[c]);
   });
   stopper.join();
@@ -300,6 +311,7 @@ int main(int argc, char** argv) {
   gates.check(mixed.versions_published > 1, "B snapshot versions",
               count(mixed.versions_published), "> 1");
   gates.zero("C frames lost in the drain", drain.lost);
+  gates.at_least("C frames answered ShuttingDown", drain.answered_shutdown, 1);
   gates.zero("C decode errors", drain.decode_errors);
   gates.check(drain.answered_ok + drain.answered_shutdown == drain.submitted,
               "C frames answered in the drain",

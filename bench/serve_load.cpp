@@ -329,18 +329,35 @@ RebalanceResult rebalance_bench(const core::Rafiki& rafiki, std::size_t clients,
   service.route_band(20, 0);
   service.route_band(80, 0);
 
-  // Rebalance continuously while the clients are firing.
+  // Rebalance continuously while the clients are firing. The clients keep
+  // firing past their quota until the balancer has made one pass that saw
+  // hits (a pass that starts after a call returned, since routing counts the
+  // hit before the call is served), so a fast client fleet cannot finish
+  // before the balancer first looks; kBalancerWait caps the wait.
+  constexpr double kBalancerWait = 5.0;
   std::atomic<bool> running{true};
+  std::atomic<std::uint64_t> answered{0};
+  std::atomic<bool> pass_saw_hits{false};
   std::thread balancer([&] {
     while (running.load(std::memory_order_relaxed)) {
+      const bool hits = answered.load(std::memory_order_acquire) > 0;
       service.rebalance_hottest();
+      if (hits) pass_saw_hits.store(true, std::memory_order_relaxed);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
   std::vector<std::uint64_t> failed(clients, 0);
+  std::vector<std::uint64_t> calls(clients, 0);
+  // det:ok(wall-clock): bounds how long the clients wait for the balancer
+  const auto t0 = std::chrono::steady_clock::now();
   benchutil::run_clients(clients, [&](std::size_t c) {
-    for (std::size_t i = 0; i < calls_per_client; ++i) {
+    for (std::size_t i = 0;
+         i < calls_per_client || (!pass_saw_hits.load(std::memory_order_relaxed) &&
+                                  benchutil::seconds_since(t0) < kBalancerWait);
+         ++i) {
       if (!service.call({.read_ratio = (i % 2 == 0) ? 0.2 : 0.8}).ok()) ++failed[c];
+      ++calls[c];
+      answered.fetch_add(1, std::memory_order_release);
     }
   });
   running.store(false, std::memory_order_relaxed);
@@ -348,7 +365,7 @@ RebalanceResult rebalance_bench(const core::Rafiki& rafiki, std::size_t clients,
   service.stop();
 
   RebalanceResult result;
-  result.requests = clients * calls_per_client;
+  for (auto n : calls) result.requests += n;
   for (auto f : failed) result.failed += f;
   const auto telemetry = service.telemetry();
   result.rebalances = telemetry.rebalances;

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace rafiki::collect {
@@ -216,8 +217,11 @@ Dataset collect_dataset(const std::vector<engine::Config>& configs,
                         const std::vector<double>& read_ratios,
                         const workload::WorkloadSpec& base_workload,
                         const CollectOptions& options) {
+  // Plan serially, in the historical order: the fault draw and measurement
+  // seed of every (config, read ratio) point. Only survivors are measured.
   rafiki::Rng rng(options.seed);
-  Dataset dataset;
+  std::vector<Sample> planned;
+  std::vector<std::uint64_t> seeds;
   std::uint64_t measurement = 0;
   for (const auto& config : configs) {
     for (double rr : read_ratios) {
@@ -225,17 +229,26 @@ Dataset collect_dataset(const std::vector<engine::Config>& configs,
       if (options.fault_rate > 0.0 && rng.bernoulli(options.fault_rate)) {
         continue;  // sample lost to a harness fault, per the paper's protocol
       }
-      workload::WorkloadSpec workload = base_workload;
-      workload.read_ratio = rr;
-      MeasureOptions measure_opts = options.measure;
-      measure_opts.seed = options.measure.seed + measurement;
       Sample sample;
-      sample.workload = workload;
+      sample.workload = base_workload;
+      sample.workload.read_ratio = rr;
       sample.config = config;
-      sample.throughput = measure_throughput(config, workload, measure_opts);
-      dataset.add(std::move(sample));
+      planned.push_back(std::move(sample));
+      seeds.push_back(options.measure.seed + measurement);
     }
   }
+
+  // Each point runs on its own fresh server and fills only its own slot, so
+  // the dataset is bit-identical at any thread count.
+  rafiki::parallel_for(planned.size(), 0, [&](std::size_t i) {
+    MeasureOptions measure_opts = options.measure;
+    measure_opts.seed = seeds[i];
+    planned[i].throughput = measure_throughput(planned[i].config, planned[i].workload,
+                                               measure_opts);
+  });
+
+  Dataset dataset;
+  for (auto& sample : planned) dataset.add(std::move(sample));
   return dataset;
 }
 

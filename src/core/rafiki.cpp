@@ -7,6 +7,7 @@
 
 #include "core/fitness.h"
 #include "engine/scylla.h"
+#include "util/parallel.h"
 #include "util/sync.h"
 
 namespace rafiki::core {
@@ -61,6 +62,15 @@ const std::vector<ParamRanking>& Rafiki::rank_parameters() {
   workload::WorkloadSpec workload = options_.base_workload;
   workload.read_ratio = options_.anova_read_ratio;
 
+  // Plan every one-at-a-time measurement serially, in the historical seed
+  // order, then measure them in parallel into per-point slots: the ranking
+  // is bit-identical at any thread count.
+  struct Point {
+    engine::Config config;
+    std::uint64_t seed;
+  };
+  std::vector<Point> plan;
+  std::vector<std::size_t> level_counts;  // per registry entry
   std::uint64_t seed_counter = options_.collect.seed;
   for (const auto& spec : engine::param_registry()) {
     // Vary this parameter alone, others at defaults (Section 3.4.1), with
@@ -68,21 +78,34 @@ const std::vector<ParamRanking>& Rafiki::rank_parameters() {
     opt::SearchSpace one_dim({{std::string(spec.name),
                                spec.type != engine::ParamType::kReal, spec.lo, spec.hi}});
     const auto levels = one_dim.level_values(0, static_cast<std::size_t>(spec.anova_levels));
-
-    std::vector<std::vector<double>> groups;
+    level_counts.push_back(levels.size());
     for (double level : levels) {
       const auto config = engine::Config::defaults().with(spec.id, level);
-      std::vector<double> group;
       for (std::size_t r = 0; r < options_.anova_repeats; ++r) {
-        collect::MeasureOptions measure = options_.collect.measure;
-        measure.seed = ++seed_counter * 7919 + r;
-        group.push_back(collect::measure_throughput(config, workload, measure));
+        plan.push_back({config, ++seed_counter * 7919 + r});
       }
-      groups.push_back(std::move(group));
+    }
+  }
+
+  std::vector<double> throughput(plan.size());
+  parallel_for(plan.size(), 0, [&](std::size_t i) {
+    collect::MeasureOptions measure = options_.collect.measure;
+    measure.seed = plan[i].seed;
+    throughput[i] = collect::measure_throughput(plan[i].config, workload, measure);
+  });
+
+  auto next = throughput.begin();
+  const auto& registry = engine::param_registry();
+  for (std::size_t p = 0; p < registry.size(); ++p) {
+    std::vector<std::vector<double>> groups(level_counts[p]);
+    for (auto& group : groups) {
+      const auto end = next + static_cast<std::ptrdiff_t>(options_.anova_repeats);
+      group.assign(next, end);
+      next = end;
     }
 
     ParamRanking entry;
-    entry.id = spec.id;
+    entry.id = registry[p].id;
     entry.score = ml::level_mean_stddev(groups);
     const auto anova = ml::one_way_anova(groups);
     entry.f_statistic = anova.f_statistic;

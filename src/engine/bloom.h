@@ -15,6 +15,27 @@
 
 namespace rafiki::engine {
 
+/// x % d without a hardware divide (Lemire, Kaser and Kurz, "Faster Remainder
+/// by Direct Computation", 2019). With the 128-bit magic M = ceil(2^128 / d),
+/// x mod d = floor(((M * x) mod 2^128) * d / 2^128), exact for every 64-bit x
+/// and every d >= 1 (for d = 1, M wraps to 0 and so does the result).
+class FastMod {
+ public:
+  FastMod() = default;
+  explicit FastMod(std::uint64_t d) noexcept : d_(d), magic_(~__uint128_t{0} / d + 1) {}
+
+  std::uint64_t operator()(std::uint64_t x) const noexcept {
+    const __uint128_t fraction = magic_ * x;  // (x / d) mod 1, in 2^-128 units
+    const __uint128_t low = static_cast<__uint128_t>(static_cast<std::uint64_t>(fraction)) * d_;
+    const __uint128_t high = (fraction >> 64) * d_;
+    return static_cast<std::uint64_t>(((low >> 64) + high) >> 64);
+  }
+
+ private:
+  std::uint64_t d_ = 1;
+  __uint128_t magic_ = 0;
+};
+
 class BloomFilter {
  public:
   BloomFilter() = default;
@@ -30,12 +51,13 @@ class BloomFilter {
     n_bits_ = std::max<std::size_t>(n_bits_, 64);
     n_hashes_ = std::max(1, static_cast<int>(std::round(bits_per_key * std::numbers::ln2)));
     bits_.assign((n_bits_ + 63) / 64, 0);
+    mod_bits_ = FastMod(n_bits_);
   }
 
   void add(std::int64_t key) noexcept {
     auto [h1, h2] = hash_pair(key);
     for (int i = 0; i < n_hashes_; ++i) {
-      set_bit((h1 + static_cast<std::uint64_t>(i) * h2) % n_bits_);
+      set_bit(mod_bits_(h1 + static_cast<std::uint64_t>(i) * h2));
     }
   }
 
@@ -43,7 +65,7 @@ class BloomFilter {
     if (bits_.empty()) return true;
     auto [h1, h2] = hash_pair(key);
     for (int i = 0; i < n_hashes_; ++i) {
-      if (!test_bit((h1 + static_cast<std::uint64_t>(i) * h2) % n_bits_)) return false;
+      if (!test_bit(mod_bits_(h1 + static_cast<std::uint64_t>(i) * h2))) return false;
     }
     return true;
   }
@@ -79,6 +101,7 @@ class BloomFilter {
 
   std::vector<std::uint64_t> bits_;
   std::size_t n_bits_ = 0;
+  FastMod mod_bits_;  // probe index = hash % n_bits_, divide-free
   int n_hashes_ = 0;
 };
 

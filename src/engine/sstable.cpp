@@ -4,16 +4,23 @@
 #include <unordered_map>
 
 namespace rafiki::engine {
+namespace {
+
+/// Sorts and deduplicates a key run. Flush and preload hand over runs that
+/// are already ascending, so the sort is skipped for them.
+void sort_unique(std::vector<std::int64_t>& keys) {
+  if (!std::is_sorted(keys.begin(), keys.end())) std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+}
+
+}  // namespace
 
 SSTable::SSTable(std::uint32_t id, std::vector<std::int64_t> keys, double avg_row_bytes,
                  double bloom_fp_chance, int level, std::vector<std::int64_t> tombstones)
     : id_(id), level_(level), keys_(std::move(keys)), tombstones_(std::move(tombstones)),
       avg_row_bytes_(avg_row_bytes) {
-  std::sort(keys_.begin(), keys_.end());
-  keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
-  std::sort(tombstones_.begin(), tombstones_.end());
-  tombstones_.erase(std::unique(tombstones_.begin(), tombstones_.end()),
-                    tombstones_.end());
+  sort_unique(keys_);
+  sort_unique(tombstones_);
   // Tombstones are rows of this table too: ensure they are in the key run.
   for (auto t : tombstones_) {
     if (!std::binary_search(keys_.begin(), keys_.end(), t)) {
@@ -84,9 +91,8 @@ std::vector<SSTable> SSTable::split_into_tables(std::uint32_t& next_id,
                                                 double avg_row_bytes, double max_bytes,
                                                 double bloom_fp_chance, int level,
                                                 std::vector<std::int64_t> tombstones) {
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  std::sort(tombstones.begin(), tombstones.end());
+  sort_unique(keys);
+  sort_unique(tombstones);
   std::vector<SSTable> tables;
   if (keys.empty()) return tables;
   const auto keys_per_table = std::max<std::size_t>(

@@ -1,13 +1,11 @@
 #include "ml/ensemble.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 
-#include "util/sync.h"
+#include "util/parallel.h"
 
 namespace rafiki::ml {
 
@@ -40,44 +38,10 @@ void SurrogateEnsemble::fit(const std::vector<std::vector<double>>& X,
   nets_.assign(options.n_nets, Mlp(layers));
   errors_.assign(options.n_nets, 0.0);
 
-  std::size_t threads =
-      options.train_threads ? options.train_threads
-                            : std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-  threads = std::min(threads, options.n_nets);
-
-  const auto train_member = [&](std::size_t k) {
+  parallel_for(options.n_nets, options.train_threads, [&](std::size_t k) {
     nets_[k].randomize(net_rngs[k]);
-    const auto result = train_lm_bayes(nets_[k], Xn, yn, options.train);
-    errors_[k] = result.mse;
-  };
-
-  if (threads <= 1) {
-    for (std::size_t k = 0; k < options.n_nets; ++k) train_member(k);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::exception_ptr first_error;
-    // Local mutex: GUARDED_BY cannot annotate captured locals, so the
-    // contract here is the surrounding scope — first_error is only touched
-    // under error_mutex inside the workers and read after all joins.
-    Mutex error_mutex;
-    const auto worker = [&] {
-      for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-           k < options.n_nets; k = next.fetch_add(1, std::memory_order_relaxed)) {
-        try {
-          train_member(k);
-        } catch (...) {
-          MutexLock lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(threads - 1);
-    for (std::size_t t = 0; t + 1 < threads; ++t) pool.emplace_back(worker);
-    worker();
-    for (auto& thread : pool) thread.join();
-    if (first_error) std::rethrow_exception(first_error);
-  }
+    errors_[k] = train_lm_bayes(nets_[k], Xn, yn, options.train).mse;
+  });
 
   // Prune the worst-performing fraction by training error.
   const auto n_prune = static_cast<std::size_t>(

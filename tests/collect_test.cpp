@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+#include <stdexcept>
 #include <set>
 
 #include "collect/dataset.h"
@@ -23,6 +26,46 @@ TEST(Runner, MeasurementIsDeterministicGivenSeed) {
   const auto a = measure_throughput(engine::Config::defaults(), spec, quick_measure());
   const auto b = measure_throughput(engine::Config::defaults(), spec, quick_measure());
   EXPECT_DOUBLE_EQ(a, b);
+}
+
+TEST(Runner, GoldenThroughputIsBitExact) {
+  // Throughputs of a reference build. Any change to the engine's preload,
+  // Bloom filters, compaction or RNG draws moves these, and with them every
+  // collected dataset and trained surrogate. Points cover both compaction
+  // methods and both ends of bloom_filter_fp_chance.
+  struct Point {
+    int compaction_method;
+    double bloom_fp;
+    double read_ratio;
+    std::uint64_t seed;
+    double throughput;
+  };
+  const Point points[] = {
+      {0, 0.01, 0.5, 1, 0x1.11b191b1fdbeap+16},   // 70065.569122180023
+      {1, 0.01, 0.2, 7, 0x1.7fe8b4208af72p+16},   // 98280.703621564229
+      {0, 0.001, 0.8, 11, 0x1.d42e6b145722p+15},  // 59927.209139559651
+      {1, 0.2, 0.9, 3, 0x1.04a75a71444d5p+16},    // 66727.353290814281
+      {0, 0.2, 0.1, 5, 0x1.7b6de2700866ep+16},    // 97133.884521985165
+      {1, 0.001, 0.5, 9, 0x1.469c195dd0255p+16},  // 83612.099087723836
+  };
+  // The full serving budget: long enough that flushes and compactions run,
+  // so merged (unsorted) key runs reach the SSTable constructor too.
+  MeasureOptions options;
+  options.ops = 20000;
+  options.warmup_ops = 2000;
+  for (const auto& point : points) {
+    const auto config = engine::Config::defaults()
+                            .with(engine::ParamId::kCompactionMethod, point.compaction_method)
+                            .with(engine::ParamId::kBloomFilterFpChance, point.bloom_fp);
+    workload::WorkloadSpec spec;
+    spec.read_ratio = point.read_ratio;
+    options.seed = point.seed;
+    const double measured = measure_throughput(config, spec, options);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(measured),
+              std::bit_cast<std::uint64_t>(point.throughput))
+        << "compaction " << point.compaction_method << " fp " << point.bloom_fp << " rr "
+        << point.read_ratio << ": measured " << std::hexfloat << measured;
+  }
 }
 
 TEST(Runner, ScyllaPathUsesScyllaEngine) {
@@ -235,6 +278,18 @@ TEST(CollectDataset, FaultRateDropsSamples) {
   const auto dataset = collect_dataset(configs, {0.0, 0.5, 1.0}, base, options);
   EXPECT_LT(dataset.size(), 12u);
   EXPECT_GT(dataset.size(), 0u);
+}
+
+TEST(CollectDataset, MeasurementExceptionReachesCaller) {
+  // A key space larger than a vector can hold makes every measurement's
+  // preload throw before it allocates; the fan-out must hand that error to
+  // the caller rather than terminate or drop the sample.
+  CollectOptions options;
+  options.measure = quick_measure();
+  workload::WorkloadSpec base;
+  base.initial_keys = std::numeric_limits<std::size_t>::max();
+  const auto configs = sample_configs(engine::key_params(), 3, 3);
+  EXPECT_THROW(collect_dataset(configs, {0.2, 0.8}, base, options), std::length_error);
 }
 
 }  // namespace

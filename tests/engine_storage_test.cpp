@@ -39,6 +39,35 @@ TEST(BloomFilter, LowerFpChanceUsesMoreBits) {
   EXPECT_GT(tight.hash_count(), loose.hash_count());
 }
 
+TEST(BloomFilter, DivideFreeRemainderMatchesModulo) {
+  // Every probe index the filter computes, h1 + i*h2 (mod 2^64), reduced by
+  // FastMod must equal the `%` it replaced, so filters stay bit-identical.
+  // Sizes cover the 64-bit minimum, powers of two, typical odd table sizes
+  // and divisors above 2^32, where the 128-bit magic carries real high bits.
+  const std::vector<std::uint64_t> sizes = {
+      1,           2,           3,           64,           65,
+      127,         128,         1024,        95851,        1u << 20,
+      (1u << 20) + 7,           0xffffffffull,             1ull << 32,
+      (1ull << 32) + 1,         (1ull << 33) + 12345,      0x123456789abcdefull,
+      1ull << 63,  (1ull << 63) + 1,         ~0ull - 1,    ~0ull};
+  Rng rng(2029);
+  for (const auto d : sizes) {
+    const FastMod mod(d);
+    for (const std::uint64_t x :
+         std::vector<std::uint64_t>{0, 1, d - 1, d, d + 1, 2 * d - 1, ~0ull, ~0ull - d}) {
+      ASSERT_EQ(mod(x), x % d) << "x=" << x << " d=" << d;
+    }
+    for (int key = 0; key < 2000; ++key) {
+      const std::uint64_t h1 = rng.next_u64();
+      const std::uint64_t h2 = rng.next_u64() | 1;
+      for (std::uint64_t i = 0; i < 24; ++i) {
+        const std::uint64_t x = h1 + i * h2;
+        ASSERT_EQ(mod(x), x % d) << "x=" << x << " d=" << d;
+      }
+    }
+  }
+}
+
 TEST(Memtable, InsertAndUpdateAccounting) {
   Memtable memtable;
   const auto grow1 = memtable.put(42, 100);

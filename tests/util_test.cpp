@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "util/histogram.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -188,6 +193,33 @@ TEST(Table, FormattersBehave) {
   EXPECT_EQ(Table::pct(41.4), "41.4%");
   EXPECT_EQ(Table::ops(-1234567), "-1,234,567");
   EXPECT_EQ(Table::num(3.14159, 3), "3.142");
+}
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (std::size_t threads : {0u, 1u, 2u, 4u, 16u}) {
+    std::vector<int> hits(37, 0);
+    parallel_for(hits.size(), threads, [&](std::size_t i) { ++hits[i]; });
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 37) << threads << " threads";
+  }
+  parallel_for(0, 4, [](std::size_t) { FAIL() << "no index to run"; });
+}
+
+TEST(ParallelFor, FirstExceptionReachesCallerAfterJoin) {
+  for (std::size_t threads : {1u, 4u}) {
+    std::atomic<int> running{0};
+    try {
+      parallel_for(64, threads, [&](std::size_t i) {
+        running.fetch_add(1, std::memory_order_relaxed);
+        if (i == 5) throw std::runtime_error("task 5 failed");
+        running.fetch_sub(1, std::memory_order_relaxed);
+      });
+      ADD_FAILURE() << "exception swallowed at " << threads << " threads";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "task 5 failed");
+    }
+    // Every task but the thrower finished before the caller saw the error.
+    EXPECT_EQ(running.load(std::memory_order_relaxed), 1) << threads << " threads";
+  }
 }
 
 }  // namespace
